@@ -12,9 +12,8 @@ from .montecarlo import (MiEstimate, SpreadingMatrix, empirical_spectrum,
                          gen_iid_spreading, gen_wbe_spreading, ks_distance,
                          read_matrix, write_matrix)
 from .optimality import (DOMINANCE_TOL, DominanceReport, hilbert_dominance,
-                         r_dominance, report_to_csv, sample_candidate_spectrum,
-                         tangent_gap)
-from .replica import (SaddleSolution, SolveOptions, SystemSpec, free_energy,
+                         r_dominance, sample_candidate_spectrum, tangent_gap)
+from .replica import (SaddleSolution, SystemSpec, free_energy,
                       mutual_information, solve_saddle)
 from .spectra import (GENERIC, MP, WBE, EigenDistribution, TabulatedDensity,
                       as_generic, g_integral, hilbert, make_discrete_law,
@@ -27,7 +26,7 @@ __all__ = [
     "DOMINANCE_TOL",
     "ConstraintViolation", "DominanceReport", "EigenDistribution",
     "EnumerationLimitError", "InputPrior", "MiEstimate", "NumericsError",
-    "SaddleSolution", "SolveOptions", "SpreadingMatrix", "SystemSpec",
+    "SaddleSolution", "SpreadingMatrix", "SystemSpec",
     "TabulatedDensity",
     "as_generic", "binary_prior", "discrete_prior", "empirical_spectrum",
     "exact_mutual_information", "free_energy", "g_integral",
@@ -36,7 +35,7 @@ __all__ = [
     "make_discrete_law", "make_mp_law", "make_wbe_law", "mmse",
     "mutual_information", "normalized_discrete_prior", "output_density",
     "output_entropy", "posterior_mean", "r_dominance", "r_transform",
-    "read_matrix", "report_to_csv", "sample_candidate_spectrum",
+    "read_matrix", "sample_candidate_spectrum",
     "scalar_mutual_information", "solve_saddle", "tangent_gap",
     "write_matrix", "z_min",
 ]

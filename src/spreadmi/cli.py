@@ -9,10 +9,9 @@ simulate          finite-size exact-enumeration MI next to the asymptotic value
 transform         Hilbert/R/G tables for a spectrum
 
 Every command accepts ``--config FILE`` with ``key = value`` defaults;
-explicit flags win.  Outputs are byte-reproducible for a fixed
-configuration and seed.  The environment variable ``SPREADMI_WORKERS``
-sets the number of concurrent grid workers (default 1); output order does
-not depend on it.
+explicit flags win.  ``verify-optimality`` and ``simulate`` take
+``--seed``; the other two commands are deterministic.  Outputs are
+byte-reproducible for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BINARY, DISCRETE, InputPrior
+from .channel import BINARY, DISCRETE
 from .config import (ConfigError, ebn0_db_to_sigma2, format_number, load_kv_file,
-                     parse_grid, parse_prior, parse_spectrum, worker_count)
+                     parse_grid, parse_prior, parse_spectrum)
 from .errors import EnumerationLimitError, NumericsError
 from .montecarlo import (IID, WBE, exact_mutual_information, gen_iid_spreading,
                          gen_wbe_spreading, write_matrix)
@@ -36,7 +33,7 @@ from .optimality import (DOMINANCE_TOL, _mi_solution, _wbe_reference,
                          hilbert_dominance, r_dominance,
                          sample_candidate_spectrum)
 from .replica import SystemSpec, mutual_information, solve_saddle
-from .spectra import EigenDistribution, g_integral, hilbert, make_mp_law, make_wbe_law, r_transform
+from .spectra import g_integral, hilbert, make_mp_law, make_wbe_law, r_transform
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -44,20 +41,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved mi-sweep configuration."""
-
-    prior: InputPrior
-    spectra: tuple[tuple[str, EigenDistribution], ...]
-    sigma2_grid: np.ndarray
-    ebn0_grid: np.ndarray | None
-    beta: float | None
-    units: str
-    seed: int
-    out: str
 
 
 def _unit_scale(units: str) -> float:
@@ -100,14 +83,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _map_grid(fn, items):
-    workers = worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # mi-sweep
 # ---------------------------------------------------------------------------
@@ -115,7 +90,7 @@ def _map_grid(fn, items):
 
 def cmd_mi_sweep(args) -> int:
     cfg = _merged(args, ["prior", "spectrum", "beta", "sigma2_grid",
-                         "ebn0_grid", "units", "seed", "out"])
+                         "ebn0_grid", "units", "out"])
     try:
         prior = parse_prior(cfg.get("prior", "binary"))
         beta = float(cfg["beta"]) if "beta" in cfg else None
@@ -124,32 +99,28 @@ def cmd_mi_sweep(args) -> int:
             specs = [specs]
         spectra = tuple(parse_spectrum(s, beta) for s in specs)
         sigma2, ebn0 = _noise_grid(cfg)
-        sweep = SweepConfig(prior=prior, spectra=spectra, sigma2_grid=sigma2,
-                            ebn0_grid=ebn0, beta=beta,
-                            units=cfg.get("units", "nats"),
-                            seed=int(cfg.get("seed", 0)),
-                            out=str(cfg.get("out", "mi_sweep.csv")))
-        scale = _unit_scale(sweep.units)
+        scale = _unit_scale(cfg.get("units", "nats"))
+        out = str(cfg.get("out", "mi_sweep.csv"))
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     points = [(name, dist, i, s2)
-              for name, dist in sweep.spectra
-              for i, s2 in enumerate(sweep.sigma2_grid)]
+              for name, dist in spectra
+              for i, s2 in enumerate(sigma2)]
 
     def solve_point(point):
         name, dist, i, s2 = point
         try:
-            sols = solve_saddle(SystemSpec(prior=sweep.prior, spectrum=dist,
+            sols = solve_saddle(SystemSpec(prior=prior, spectrum=dist,
                                            noise_var=float(s2)))
         except NumericsError as exc:
             raise NumericsError(
                 f"solver failed at spectrum={name} sigma2={s2:g}: {exc}") from exc
         best = sols[0]
         row = [name]
-        if sweep.ebn0_grid is not None:
-            row.append(format_number(sweep.ebn0_grid[i]))
+        if ebn0 is not None:
+            row.append(format_number(ebn0[i]))
         row += [format_number(s2), format_number(best.mmse),
                 format_number(best.snr),
                 format_number(best.mutual_information * scale),
@@ -158,17 +129,17 @@ def cmd_mi_sweep(args) -> int:
         return row
 
     try:
-        rows = _map_grid(solve_point, points)
+        rows = [solve_point(point) for point in points]
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
     header = ["spectrum"]
-    if sweep.ebn0_grid is not None:
+    if ebn0 is not None:
         header.append("ebn0_db")
     header += ["sigma2", "E", "theta", "C", "F", "n_fixed_points"]
-    _write_csv(sweep.out, header, rows)
-    print(f"wrote {len(rows)} rows to {sweep.out}")
+    _write_csv(out, header, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
 
@@ -228,7 +199,7 @@ def cmd_verify_optimality(args) -> int:
                             format_number(margin)])
         return name, law, ok, rows_r, rows_h, rows_mi
 
-    results = _map_grid(check, candidates)
+    results = [check(item) for item in candidates]
 
     rows_r = [row for _, _, _, rr, _, _ in results for row in rr]
     rows_h = [row for _, _, _, _, rh, _ in results for row in rh]
@@ -311,7 +282,7 @@ def cmd_simulate(args) -> int:
                 format_number(asymptotic * scale), format_number(gap)]
 
     try:
-        rows = _map_grid(run_point, points)
+        rows = [run_point(point) for point in points]
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -378,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value config file; flags win")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--out", help="output path (or prefix)")
         p.add_argument("--units", choices=["nats", "bits"],
                        help="information unit for output columns")
@@ -397,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-optimality",
                        help="dominance certificates vs the WBE law")
     common(p)
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--prior", help="prior specification (default binary)")
     p.add_argument("--beta", type=float, help="load K/L (default 1.5)")
     p.add_argument("--sigma2-grid", help="noise grid for the MI comparison "
@@ -412,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-size exact-enumeration MI")
     common(p)
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--K", type=int, help="number of users")
     p.add_argument("--L", type=int, help="spreading factor")
     p.add_argument("--kind", action="append", help="iid | wbe (repeatable; "

@@ -155,13 +155,3 @@ def ebn0_db_to_sigma2(ebn0_db) -> np.ndarray:
 def format_number(x) -> str:
     """Decimal rendering with 12 significant digits (CSV convention)."""
     return format(float(x), ".12g")
-
-
-def worker_count() -> int:
-    """Worker count for grid evaluation, from SPREADMI_WORKERS (default 1)."""
-    raw = os.environ.get("SPREADMI_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SPREADMI_WORKERS must be an integer, got {raw!r}")
-    return max(1, n)

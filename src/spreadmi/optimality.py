@@ -10,8 +10,6 @@ randomly sampled admissible laws.
 
 from __future__ import annotations
 
-import csv
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,8 +18,6 @@ import numpy as np
 from .channel import InputPrior
 from .replica import SaddleSolution, SystemSpec, mutual_information
 from .spectra import EigenDistribution, hilbert, make_discrete_law, make_wbe_law, r_transform
-
-logger = logging.getLogger(__name__)
 
 DOMINANCE_TOL = 1e-9
 
@@ -77,24 +73,14 @@ def r_dominance(candidate: EigenDistribution, spec: SystemSpec,
     point.
 
     ``spec`` supplies the input law and noise level; its spectrum field is
-    replaced by ``candidate``.  The same check on the interval of the WBE
-    system (when wider) is evaluated and logged.
+    replaced by ``candidate``.
     """
     reference = _wbe_reference(candidate.beta)
-    err_cand = _mi_solution(spec.prior, candidate, spec.noise_var).mmse
-    err_ref = _mi_solution(spec.prior, reference, spec.noise_var).mmse
-
-    def margins_on(err):
-        z_edge = max(err / spec.noise_var, 2e-6)
-        grid = -np.geomspace(z_edge, 1e-6, n_grid)
-        return grid, r_transform(candidate, grid), r_transform(reference, grid)
-
-    grid, cand_vals, ref_vals = margins_on(err_cand)
-    if err_ref > err_cand:
-        wide_grid, wide_cand, wide_ref = margins_on(err_ref)
-        logger.info("wider WBE-side interval margin: %g",
-                    float(np.min(wide_ref - wide_cand)))
-    return _make_report(grid, cand_vals, ref_vals)
+    err = _mi_solution(spec.prior, candidate, spec.noise_var).mmse
+    z_edge = max(err / spec.noise_var, 2e-6)
+    grid = -np.geomspace(z_edge, 1e-6, n_grid)
+    return _make_report(grid, r_transform(candidate, grid),
+                        r_transform(reference, grid))
 
 
 def hilbert_dominance(candidate: EigenDistribution, gamma_grid) -> DominanceReport:
@@ -134,18 +120,3 @@ def sample_candidate_spectrum(seed: int, beta: float, n_atoms: int) -> EigenDist
     weights = rng.dirichlet(np.ones(n_atoms))
     locs *= beta / float(weights @ locs)
     return make_discrete_law(list(zip(locs, weights)), beta)
-
-
-def report_to_csv(report: DominanceReport, path, extra: dict | None = None) -> None:
-    """Serialize a dominance report as CSV rows
-    ``(grid, candidate, reference, margin)``, with optional leading
-    constant columns from ``extra``."""
-    extra = extra or {}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(extra) + ["grid", "candidate_value",
-                                       "reference_value", "margin"])
-        for x, c, r in zip(report.grid, report.candidate_values,
-                           report.reference_values):
-            writer.writerow(list(extra.values())
-                            + [f"{v:.12g}" for v in (x, c, r, r - c)])

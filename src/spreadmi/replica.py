@@ -24,8 +24,10 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import optimize
+
 from .channel import InputPrior, mmse, output_entropy
-from .errors import NumericsError
 from .spectra import EigenDistribution, g_integral, r_transform
 
 logger = logging.getLogger(__name__)
@@ -61,88 +63,90 @@ class SaddleSolution:
     mutual_information: float
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    damping: float = 0.5
-    step_tol: float = 1e-12
-    max_iter: int = 100_000
-    accept_tol: float = 1e-9
-    polish_iters: int = 40
-    initial_snr_scales: tuple[float, ...] = (1e-3, 1.0, 10.0, 100.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-
-
 def _snr_update(spec: SystemSpec, snr: float) -> float:
     err = mmse(spec.prior, snr)
     return r_transform(spec.spectrum, -err / spec.noise_var) / spec.noise_var
 
 
-def _iterate(spec, snr0, opt):
-    """Damped fixed-point iteration followed by a secant polish."""
-    snr = snr0
-    steps = 0
-    for steps in range(1, opt.max_iter + 1):
-        nxt = (1.0 - opt.damping) * snr + opt.damping * _snr_update(spec, snr)
-        done = abs(nxt - snr) <= opt.step_tol * max(1.0, abs(snr))
-        snr = nxt
-        if done:
-            break
+_SCAN_POINTS = 16
+_REFINE_ROUNDS = 12
 
-    # secant refinement on the defect h(snr) = snr - update(snr)
+
+def _upward_crossings(snr, d):
+    """Brackets ``(lo, hi)`` over which the defect ``d`` rises through
+    zero on the sorted scan, and scan points ``(s, s)`` where it reaches
+    zero exactly from below."""
+    # d <= 0 holds at the lower end, so a zero there is a root too
+    out = [(snr[0], snr[0])] if d[0] == 0.0 else []
+    for i in range(len(snr) - 1):
+        if d[i] < 0.0 < d[i + 1]:
+            out.append((snr[i], snr[i + 1]))
+        elif d[i] < 0.0 and d[i + 1] == 0.0:
+            out.append((snr[i + 1], snr[i + 1]))
+    return out
+
+
+def _suspect_dips(d):
+    """Interior scan points where ``d`` turns back toward zero without
+    crossing it, by less than the neighbouring differences: a pair of
+    roots may hide on either side."""
+    out = []
+    for i in range(1, len(d) - 1):
+        left, right = d[i] - d[i - 1], d[i + 1] - d[i]
+        same_sign = (d[i - 1] > 0.0) == (d[i] > 0.0) == (d[i + 1] > 0.0)
+        if (left * right < 0.0 and same_sign and d[i] != 0.0
+                and abs(d[i]) < max(abs(left), abs(right))):
+            out.append(i)
+    return out
+
+
+def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
+    """All stable fixed points, sorted by free energy (ascending).
+
+    Every fixed point has ``E`` in ``[0, 1]``, and the update
+    ``snr -> R(-mmse(snr)/noise_var)/noise_var`` is non-decreasing, so all
+    of them lie in ``[update(0), R(0)/noise_var]``, where the defect
+    ``d(snr) = snr - update(snr)`` is non-positive at the lower end and
+    non-negative at the upper one.  ``d`` is scanned on a geometric grid
+    over that interval, the grid is refined around turns of ``d`` that
+    approach zero without crossing it, and each upward crossing (the
+    roots that damped iteration converges to) is solved with Brent's
+    method.  ``iterations`` is Brent's iteration count and ``residual``
+    the defect at the root.
+    """
     def defect(s):
         return s - _snr_update(spec, s)
 
-    a = snr
-    fa = defect(a)
-    b = snr * (1.0 + 1e-7) + 1e-12
-    fb = defect(b)
-    for _ in range(opt.polish_iters):
-        if abs(fa) <= 1e-14 * max(1.0, abs(a)) or fb == fa:
+    lo = _snr_update(spec, 0.0)
+    # the update itself at E = 0, so that d(hi) is exactly 0 when mmse
+    # underflows there; geomspace keeps both ends exact
+    hi = r_transform(spec.spectrum, 0.0) / spec.noise_var
+    snr = np.geomspace(lo, hi, _SCAN_POINTS).tolist()
+    d = [defect(s) for s in snr]
+    for _ in range(_REFINE_ROUNDS):
+        dips = _suspect_dips(d)
+        if not dips:
             break
-        c = a - fa * (a - b) / (fa - fb)
-        if not math.isfinite(c) or c <= 0.0:
-            break
-        b, fb = a, fa
-        a, fa = c, defect(c)
-    if abs(fa) < abs(defect(snr)):
-        snr = a
-    return snr, abs(defect(snr)), steps
-
-
-def solve_saddle(spec: SystemSpec, options: SolveOptions | None = None) -> list[SaddleSolution]:
-    """All distinct fixed points reachable by damped iteration from the
-    configured starting grid, sorted by free energy (ascending).
-
-    Raises :class:`NumericsError` when no start converges within
-    tolerance.
-    """
-    opt = options or SolveOptions()
-    trace = []
-    found: list[tuple[float, float, int]] = []
-    for scale in opt.initial_snr_scales:
-        snr0 = scale / spec.noise_var
-        snr, residual, steps = _iterate(spec, snr0, opt)
-        trace.append((snr0, snr, residual, steps))
-        if residual <= opt.accept_tol * max(1.0, snr) and snr > 0.0:
-            if not any(abs(snr - s) < 1e-8 * max(1.0, s) for s, _, _ in found):
-                found.append((snr, residual, steps))
-    if not found:
-        lines = ", ".join(
-            f"start {s0:.3g} -> snr {s:.6g} (residual {r:.3g}, {n} steps)"
-            for s0, s, r, n in trace)
-        raise NumericsError(f"no converged fixed point: {lines}")
+        cuts = sorted({j for i in dips for j in (i - 1, i)})
+        for j in reversed(cuts):
+            mid = math.sqrt(snr[j] * snr[j + 1])
+            snr.insert(j + 1, mid)
+            d.insert(j + 1, defect(mid))
 
     solutions = []
-    for snr, residual, steps in found:
-        err = mmse(spec.prior, snr)
-        info = _information_at(spec, err, snr)
-        fe = info + _offset(spec)
+    for a, b in _upward_crossings(snr, d):
+        if a == b:
+            root, steps = a, 0
+        else:
+            # roots span many decades: stop on the relative tolerance only
+            root, res = optimize.brentq(defect, a, b, xtol=1e-300,
+                                        full_output=True)
+            steps = res.iterations
+        err = mmse(spec.prior, root)
+        info = _information_at(spec, err, root)
         solutions.append(SaddleSolution(
-            mmse=err, snr=snr, iterations=steps, residual=residual,
-            free_energy=fe, mutual_information=info))
+            mmse=err, snr=root, iterations=steps, residual=abs(defect(root)),
+            free_energy=info + _offset(spec), mutual_information=info))
     solutions.sort(key=lambda s: s.free_energy)
     if len(solutions) > 1:
         logger.info("found %d coexisting fixed points at noise_var=%g: %s",
@@ -174,10 +178,10 @@ def free_energy(spec: SystemSpec, err: float, snr: float) -> float:
     return _information_at(spec, err, snr) + _offset(spec)
 
 
-def mutual_information(spec: SystemSpec, options: SolveOptions | None = None) -> SaddleSolution:
+def mutual_information(spec: SystemSpec) -> SaddleSolution:
     """Average per-user mutual information of the system, in nats.
 
     Solves the fixed-point equations and, when several solutions coexist,
     returns the one minimizing the free energy.
     """
-    return solve_saddle(spec, options)[0]
+    return solve_saddle(spec)[0]

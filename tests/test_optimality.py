@@ -7,7 +7,7 @@ import pytest
 
 from spreadmi import (SystemSpec, binary_prior, hilbert, hilbert_dominance,
                       make_discrete_law, make_mp_law, make_wbe_law,
-                      mutual_information, r_dominance, r_transform, report_to_csv,
+                      mutual_information, r_dominance, r_transform,
                       sample_candidate_spectrum, tangent_gap)
 
 GAMMA_GRID = -np.geomspace(1e3, 1e-3, 200)
@@ -148,16 +148,3 @@ class TestEndToEnd:
                 c = mutual_information(
                     binary_spec(law, noise_var)).mutual_information
                 assert wbe_c[noise_var] >= c - 1e-9
-
-    def test_report_csv_round_trip(self, tmp_path):
-        law = make_mp_law(1.5)
-        report = r_dominance(law, binary_spec(law))
-        path = tmp_path / "report.csv"
-        report_to_csv(report, path, extra={"candidate": "mp"})
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "candidate,grid,candidate_value,reference_value,margin"
-        assert len(lines) == 1 + report.grid.size
-        first = lines[1].split(",")
-        assert first[0] == "mp"
-        assert float(first[4]) == pytest.approx(
-            float(first[3]) - float(first[2]), abs=1e-12)

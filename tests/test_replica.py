@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from spreadmi import (NumericsError, SolveOptions, SystemSpec, binary_prior,
+from spreadmi import (NumericsError, SystemSpec, as_generic, binary_prior,
                       free_energy, gaussian_prior, make_mp_law, make_wbe_law,
-                      mutual_information, solve_saddle)
+                      mutual_information, sample_candidate_spectrum,
+                      solve_saddle)
 from spreadmi.replica import _snr_update
 
 WBE_GAUSS_C = math.log(4.0) / 3.0  # (1/(2 beta)) log(1 + beta/s2) at 1.5, 0.5
@@ -84,23 +85,59 @@ class TestSolveSaddle:
                 assert 0.0 <= sol.mmse <= 1.0
                 assert sol.snr > 0.0
 
-    def test_against_residual_scan_oracle(self):
-        """Every solver fixed point refines a sign change of the residual on
-        a dense grid, and the solver finds every iteration-stable root."""
-        spec = SystemSpec(prior=binary_prior(), spectrum=make_mp_law(1.5),
-                          noise_var=0.125)
+    @pytest.mark.parametrize("law, noise_var", [
+        pytest.param(make_mp_law(1.5), 0.125, id="mp-1.5-0.125"),
+        pytest.param(make_mp_law(2.0), 0.1, id="mp-2-0.1"),
+        *(pytest.param(make(beta), s2, id=f"{name}-{beta:g}-{s2:g}")
+          for name, make in (("mp", make_mp_law), ("wbe", make_wbe_law))
+          for beta in (3.0, 4.0) for s2 in (0.005, 0.0105)),
+        pytest.param(sample_candidate_spectrum(1, 2.0, 3), 0.05,
+                     id="sampled1-2-0.05"),
+        pytest.param(sample_candidate_spectrum(5, 2.0, 3), 0.05,
+                     id="sampled5-2-0.05"),
+        pytest.param(make_wbe_law(1.5), 1e6, id="wbe-1.5-1e6"),
+        pytest.param(make_wbe_law(1.5), 1e8, id="wbe-1.5-1e8"),
+    ])
+    def test_against_residual_scan_oracle(self, law, noise_var):
+        """The solver's fixed points are exactly the upward sign changes of
+        the defect on a dense grid: none missing, none extra.  The list
+        covers the binary coexistence region, an ``E = 0`` root at
+        ``snr = 1/noise_var`` (sigma2 <= 0.0105 at loads 3 and 4, where
+        ``mmse`` underflows) and an ``E ~ 1`` root next to the lower end
+        of the search interval (sigma2 = 1e6) or exactly on it (1e8)."""
+        spec = SystemSpec(prior=binary_prior(), spectrum=law,
+                          noise_var=noise_var)
         sols = solve_saddle(spec)
-        grid = np.geomspace(1e-4 / 0.125, 1e3 / 0.125, 2000)
+        grid = np.geomspace(1e-4 / noise_var, 1e3 / noise_var, 2000)
         resid = np.array([t - _snr_update(spec, t) for t in grid])
-        signs = np.sign(resid)
         roots = []
-        for i in np.nonzero(np.diff(signs) != 0)[0]:
+        for i in np.nonzero((resid[:-1] < 0.0) & (resid[1:] >= 0.0))[0]:
             roots.append(optimize.brentq(
                 lambda t: t - _snr_update(spec, t), grid[i], grid[i + 1],
-                xtol=1e-13, rtol=8.9e-16))
+                xtol=1e-300, rtol=8.9e-16))
         assert roots, "scan oracle found no fixed point"
+        assert len(sols) == len(roots)
         for sol in sols:
             assert min(abs(sol.snr - r) / r for r in roots) < 1e-8
+        for r in roots:
+            assert min(abs(sol.snr - r) / r for sol in sols) < 1e-8
+
+    def test_generic_law_outside_inversion_domain(self):
+        """A ``beta < 1`` law forced through the numeric R-inversion fails
+        loudly where ``-1/noise_var`` lies below ``z_min``, and elsewhere
+        agrees with the closed form."""
+        generic = as_generic(make_mp_law(0.5))
+        with pytest.raises(NumericsError):
+            solve_saddle(SystemSpec(prior=binary_prior(), spectrum=generic,
+                                    noise_var=0.05))
+        for noise_var in (0.3, 1.0):
+            closed = mutual_information(SystemSpec(
+                prior=binary_prior(), spectrum=make_mp_law(0.5),
+                noise_var=noise_var))
+            numeric = mutual_information(SystemSpec(
+                prior=binary_prior(), spectrum=generic, noise_var=noise_var))
+            assert numeric.mutual_information == pytest.approx(
+                closed.mutual_information, abs=1e-12)
 
     def test_multiple_fixed_points_found_and_ranked(self):
         spec = SystemSpec(prior=binary_prior(), spectrum=make_mp_law(2.0),
@@ -112,27 +149,10 @@ class TestSolveSaddle:
         # selection picks the minimum-free-energy branch
         assert mutual_information(spec).free_energy == fes[0]
 
-    def test_selection_stable_under_start_permutation(self):
-        spec = SystemSpec(prior=binary_prior(), spectrum=make_mp_law(2.0),
-                          noise_var=0.1)
-        base = mutual_information(spec).mutual_information
-        for scales in [(100.0, 1e-3, 10.0, 1.0), (10.0, 100.0, 1.0, 1e-3)]:
-            opts = SolveOptions(initial_snr_scales=scales)
-            val = mutual_information(spec, opts).mutual_information
-            assert val == pytest.approx(base, abs=1e-10)
-
     def test_invalid_noise_variance(self):
         with pytest.raises(ValueError):
             SystemSpec(prior=binary_prior(), spectrum=make_mp_law(1.5),
                        noise_var=0.0)
-
-    def test_unreachable_tolerance_raises_with_trace(self):
-        spec = SystemSpec(prior=binary_prior(), spectrum=make_wbe_law(1.5),
-                          noise_var=0.5)
-        opts = SolveOptions(max_iter=1, polish_iters=0, accept_tol=1e-14,
-                            step_tol=1e-16)
-        with pytest.raises(NumericsError, match="start"):
-            solve_saddle(spec, opts)
 
 
 class TestFreeEnergy:
