@@ -200,22 +200,21 @@ def mmse(prior: InputPrior, snr: float) -> float:
         return 1.0
     if prior.kind == GAUSSIAN:
         return 1.0 / (1.0 + snr)
-    # orthogonality of the estimation error gives E[(x - <x>)^2] =
-    # 1 - E[<x>^2], which halves the quadrature sensitivity; the moment is
-    # integrated in the rescaled output v = sqrt(snr) u where the noise
-    # has unit width
+    # the error is the mean posterior variance, integrated in the rescaled
+    # output v = sqrt(snr) u where the noise has unit width; its terms are
+    # non-negative, so it stays accurate where it is tiny (the equal
+    # 1 - E[<x>^2] cancels there)
     order = np.argsort(prior._values)
-    centers = math.sqrt(snr) * prior._values[order]
-    probs = prior._probs[order]
+    values = prior._values[order]
+    centers = math.sqrt(snr) * values
     v, w = _mixture_rule(centers)
     logk = -0.5 * (v[:, None] - centers) ** 2
     top = logk.max(axis=1, keepdims=True)
-    kern = np.exp(logk - top) * probs
-    norm = kern.sum(axis=1)
-    mean_post = (kern @ prior._values[order]) / norm
-    dens = norm * np.exp(top[:, 0]) / math.sqrt(2.0 * math.pi)
-    second_moment = float(w @ (dens * mean_post * mean_post))
-    return min(1.0, max(0.0, 1.0 - second_moment))
+    kern = np.exp(logk - top) * prior._probs[order]
+    mean_post = (kern @ values) / kern.sum(axis=1)
+    spread = (kern * (values - mean_post[:, None]) ** 2).sum(axis=1)
+    err = float(w @ (np.exp(top[:, 0]) * spread)) / math.sqrt(2.0 * math.pi)
+    return min(1.0, err)
 
 
 def output_entropy(prior: InputPrior, snr: float) -> float:

@@ -9,20 +9,18 @@ sequences).  The module evaluates three objects for such a law:
   for ``gamma`` strictly below the support,
 * the R-transform ``R(z)``, defined through ``C(R(z) + 1/z) = z``, with
   closed forms for the Marchenko-Pastur and Welch-bound-equality laws and
-  a safeguarded numeric inversion for everything else,
-* the running integral ``G(t) = int_0^t R(z) dz``.
+  a safeguarded Newton inversion inside an analytic bracket for everything
+  else,
+* the running integral ``G(t) = int_0^t R(z) dz``, in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConstraintViolation, NumericsError
 
@@ -39,21 +37,24 @@ PI_TOL = 1e-8
 _PANELS = 32
 _ORDER = 64
 
+# safeguarded Newton for the Hilbert inversion: relative step at which an
+# iterate counts as converged, and a cap that only non-finite input reaches
+_STEP_TOL = 1e-14
+_MAX_STEPS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class TabulatedDensity:
     """Continuous spectral component with a precomputed quadrature rule.
 
     ``nodes``/``weights`` integrate smooth functions against the density:
-    ``int f(lam) rho_c(lam) dlam ~= weights @ f(nodes)``.  ``pdf`` is the
-    pointwise density, kept for plotting and independent checks.
+    ``int f(lam) rho_c(lam) dlam ~= weights @ f(nodes)``.
     """
 
     lo: float
     hi: float
     nodes: np.ndarray
     weights: np.ndarray
-    pdf: Callable[[np.ndarray], np.ndarray]
 
     @property
     def mass(self) -> float:
@@ -81,15 +82,7 @@ def _mp_density(beta: float) -> TabulatedDensity:
     wu = (half[:, None] * w[None, :]).ravel()
     lam = a + (b - a) * np.sin(u) ** 2
     weights = wu * (b - a) ** 2 * np.sin(2.0 * u) ** 2 / (4.0 * math.pi * beta * lam)
-
-    def pdf(x, _a=a, _b=b, _beta=beta):
-        x = np.asarray(x, dtype=float)
-        inside = np.clip(x - _a, 0.0, None) * np.clip(_b - x, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.sqrt(inside) / (2.0 * math.pi * _beta * x)
-        return np.where(inside > 0.0, val, 0.0)
-
-    return TabulatedDensity(lo=a, hi=b, nodes=lam, weights=weights, pdf=pdf)
+    return TabulatedDensity(lo=a, hi=b, nodes=lam, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,18 +147,24 @@ class EigenDistribution:
     # -- cached array views -------------------------------------------------
 
     @cached_property
-    def _atom_loc(self) -> np.ndarray:
-        return np.array([l for l, _ in self.atoms], dtype=float)
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        # atoms followed by the density's quadrature nodes: every integral
+        # against the law is ``weights @ f(locations)``
+        loc = [l for l, _ in self.atoms]
+        w = [w for _, w in self.atoms]
+        if self.density is None:
+            return np.array(loc, dtype=float), np.array(w, dtype=float)
+        return (np.concatenate((loc, self.density.nodes)),
+                np.concatenate((w, self.density.weights)))
 
     @cached_property
-    def _atom_w(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
-
-    @cached_property
-    def _atoms_plain(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        # plain-float view for the scalar hot path
-        return (tuple(float(l) for l, _ in self.atoms),
-                tuple(float(w) for _, w in self.atoms))
+    def _bracket(self) -> tuple[float, float, float]:
+        # support infimum a, the weight w0 of a point mass on it, and the
+        # distance d from a to the mean of the remaining mass
+        a = self.lambda_min
+        w0 = sum(w for l, w in self.atoms if l == a)
+        d = (self.mean - w0 * a) / (1.0 - w0) - a if w0 < 1.0 else 0.0
+        return a, w0, d
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -308,20 +307,8 @@ def hilbert(dist: EigenDistribution, gamma):
 
 
 def _hilbert_unchecked(dist, g):
-    gg = g[..., None]
-    out = np.sum(dist._atom_w / (gg - dist._atom_loc), axis=-1)
-    if dist.density is not None:
-        out = out + np.sum(dist.density.weights / (gg - dist.density.nodes), axis=-1)
-    return out
-
-
-def _hilbert_deriv(dist, g):
-    gg = g[..., None]
-    out = -np.sum(dist._atom_w / (gg - dist._atom_loc) ** 2, axis=-1)
-    if dist.density is not None:
-        out = out - np.sum(dist.density.weights / (gg - dist.density.nodes) ** 2,
-                           axis=-1)
-    return out
+    loc, w = dist._support
+    return np.sum(w / (g[..., None] - loc), axis=-1)
 
 
 def z_min(dist: EigenDistribution, edge_offset: float = 1e-9) -> float:
@@ -344,10 +331,10 @@ def r_transform(dist: EigenDistribution, z):
 
     ``z = 0`` returns the mean.  Laws tagged ``MP`` and ``WBE`` use their
     closed forms; ``GENERIC`` laws invert the Hilbert transform by
-    bracketed bisection plus Newton polish and return ``gamma - 1/z``.
+    safeguarded Newton steps (``_invert_hilbert``).
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr > 0.0):
+    if (z_arr > 0.0).any():
         raise ValueError("r_transform is only evaluated on z <= 0")
     beta = dist.beta
     if dist.tag == MP:
@@ -356,145 +343,76 @@ def r_transform(dist: EigenDistribution, z):
         out = 2.0 / (1.0 - beta * z_arr
                      + np.sqrt((beta * z_arr - 1.0) ** 2 + 4.0 * z_arr))
     else:
-        if z_arr.ndim == 0 and dist.density is None:
-            z_val = float(z_arr)
-            if z_val == 0.0:
-                return dist.mean
-            return _invert_hilbert_scalar(dist, z_val) - 1.0 / z_val
-        out = np.where(z_arr == 0.0, dist.mean, 1.0)
-        neg = z_arr < 0.0
-        if np.any(neg):
-            zneg = np.atleast_1d(z_arr[neg])
-            gamma = _invert_hilbert(dist, zneg)
-            rvals = gamma - 1.0 / zneg
-            if out.ndim:
-                out[neg] = rvals
-            else:
-                out = rvals.reshape(())
+        out = _invert_hilbert(dist, z_arr)
     return out if out.ndim else float(out)
 
 
-def _invert_hilbert_scalar(dist, z, max_expand=200):
-    """Plain-float inversion for purely atomic laws (the solver hot path)."""
-    locs, ws = dist._atoms_plain
-    edge = dist.lambda_min
-    scale = max(1.0, abs(edge))
+def _invert_hilbert(dist, z):
+    """R-transform ``R(z) = gamma - 1/z`` with ``C(gamma) = z <= 0``, elementwise.
 
-    def cval(g):
-        acc = 0.0
-        for l, w in zip(locs, ws):
-            acc += w / (g - l)
-        return acc
+    With ``y = 1 + z (R - lam) = z (gamma - lam) > 0`` the defining
+    relation of a unit-mass law reads ``int (R - lam)/y dF(lam) = 0``, whose
+    terms stay of order one for every ``z`` (``R(0)`` is the mean).
 
-    step = scale
-    for _ in range(max_expand):
-        if cval(edge - step) < z or step < 1e-300:
-            break
-        step *= 0.5
-    hi = edge - step
-    if cval(hi) >= z:
-        raise NumericsError(
-            f"no bracket for R-transform inversion: z={z!r} lies at or below "
-            f"z_min ~= {z_min(dist)!r} of this law")
-    lo = edge - 2.0 * scale
-    for _ in range(max_expand):
-        if cval(lo) > z:
-            break
-        lo = edge - 2.0 * (edge - lo)
-    else:
-        raise NumericsError(
-            f"no lower bracket for R-transform inversion down to gamma={lo!r}")
-
-    while hi - lo > 1e-15 * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        if cval(mid) > z:
-            lo = mid
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
-    for _ in range(3):
-        deriv = 0.0
-        for l, w in zip(locs, ws):
-            deriv -= w / (gamma - l) ** 2
-        cand = gamma - (cval(gamma) - z) / deriv
-        if not (math.isfinite(cand) and cand < edge):
-            break
-        gamma = cand
-    return gamma
-
-
-def _invert_hilbert(dist, z, max_expand=200, bisect_iters=100, newton_iters=3):
-    """Solve ``C(gamma) = z`` for ``gamma`` below the support, elementwise.
-
-    The transform is strictly decreasing with range ``(z_min, 0)``, so a
-    bracket always exists for admissible ``z``; the upper end is pushed
-    toward the support edge until ``C`` falls below ``z``, the lower end
-    is doubled away until ``C`` rises above ``z``.
+    Bracket: ``R >= a = lambda_min``.  Keep the weight ``w0`` on ``a`` and
+    move the rest (weight ``e``, mean ``a + d``) to its mean; since
+    ``1/(gamma - lam)`` is concave in ``lam``, Jensen puts ``R`` below the
+    R-transform of that two-atom law, the root ``r = R - a`` of
+    ``z r^2 + (1 - z d) r - e d = 0``.  Newton steps on ``1/C``, which is
+    increasing and convex below the support, decrease monotonically from
+    there onto the root; a step that leaves the bracket (rounding or a
+    non-finite value) is replaced by bisection.
     """
-    edge = dist.lambda_min
-    scale = max(1.0, abs(edge))
-
-    # upper end: push gamma toward the support edge until C drops below z
-    step = np.full_like(z, scale)
-    hi = edge - step
-    for _ in range(max_expand):
-        short = _hilbert_unchecked(dist, hi) >= z
-        if not short.any() or step.min() < 1e-300:
-            break
-        step = np.where(short, 0.5 * step, step)
-        hi = edge - step
-    short = _hilbert_unchecked(dist, hi) >= z
-    if short.any():
-        k = int(np.argmax(short))
-        raise NumericsError(
-            f"no bracket for R-transform inversion: z={z[k]!r} lies at or "
-            f"below z_min ~= {z_min(dist)!r} of this law")
-
-    # lower end: double the distance from the edge until C rises above z
-    lo = np.full_like(z, edge - 2.0 * scale)
-    for _ in range(max_expand):
-        short = _hilbert_unchecked(dist, lo) <= z
-        if not short.any():
-            break
-        lo = np.where(short, edge - 2.0 * (edge - lo), lo)
-    else:
-        raise NumericsError(
-            f"no lower bracket for R-transform inversion down to gamma="
-            f"{lo.min()!r}")
-
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        above = _hilbert_unchecked(dist, mid) > z
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    gamma = 0.5 * (lo + hi)
-
-    for _ in range(newton_iters):
-        resid = _hilbert_unchecked(dist, gamma) - z
-        stepn = resid / _hilbert_deriv(dist, gamma)
-        cand = gamma - stepn
-        ok = np.isfinite(cand) & (cand < edge)
-        gamma = np.where(ok, cand, gamma)
-    return gamma
+    edge, w0, d = dist._bracket
+    loc, w = dist._support
+    if w0 == 0.0:
+        # no pole at the edge: C is bounded below by its edge value
+        outside = z <= _hilbert_unchecked(dist, np.float64(edge))
+        if outside.any():
+            raise NumericsError(
+                f"no bracket for R-transform inversion: z={z[outside].flat[0]!r} "
+                f"lies at or below z_min ~= {z_min(dist)!r} of this law")
+    e_d = (1.0 - w0) * d
+    p = 1.0 - z * d
+    lo = edge
+    hi = edge + 2.0 * e_d / (p + np.sqrt(p * p + 4.0 * z * e_d))
+    r = hi
+    for _ in range(_MAX_STEPS):
+        shift = r[..., None] - loc
+        inv = 1.0 / (1.0 + z[..., None] * shift)
+        balance = (shift * inv) @ w  # > 0 iff r lies above the root
+        step = (inv @ w) * balance / (inv * inv @ w)
+        new = r - step
+        if (abs(step) <= _STEP_TOL * abs(new)).all():
+            return new
+        above = balance > 0.0
+        if (above & (new > lo)).all():
+            hi, r = r, new
+        else:
+            lo = np.where(above, lo, r)
+            hi = np.where(above, r, hi)
+            # closed: an element already at its root keeps its zero step
+            inside = (new >= lo) & (new <= hi)
+            r = np.where(inside, new, 0.5 * (lo + hi))
+    raise NumericsError(
+        f"R-transform inversion did not converge in {_MAX_STEPS} steps "
+        f"(z from {z.min()!r} to {z.max()!r})")
 
 
 def g_integral(dist: EigenDistribution, t: float) -> float:
-    """Integral of the R-transform from 0 to ``t`` (``t <= 0``).
+    """Integral of the R-transform from 0 to ``t`` (``t <= 0``), in closed form.
 
-    ``G(0) = 0`` and ``G(t) <= 0`` for ``t < 0`` since the R-transform is
-    positive on the integration range.
+    ``G(t) = t R(t) - int log(1 + t (R(t) - lam)) dF(lam)``, where each log
+    argument is ``(lam - gamma)(-t) > 0`` with ``gamma = R(t) + 1/t``; the
+    Marchenko-Pastur law uses ``-log(1 - beta t)/beta``, which also holds
+    where its R closed form continues past ``z_min``.  ``G(t) <= 0`` since
+    the R-transform is positive.
     """
     t = float(t)
     if t > 0.0:
         raise ValueError("g_integral is only evaluated on t <= 0")
-    if t == 0.0:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(lambda s: r_transform(dist, s), 0.0, t,
-                                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    if not math.isfinite(val) or err > 1e-8:
-        raise NumericsError(
-            f"quadrature of the R-transform on [{t}, 0] did not converge "
-            f"(estimate {val!r}, error bound {err!r})")
-    return val
+    if dist.tag == MP:
+        return -math.log1p(-dist.beta * t) / dist.beta
+    r = r_transform(dist, t)
+    loc, w = dist._support
+    return t * r - float(w @ np.log1p(t * (r - loc)))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -25,6 +26,19 @@ def gh_binary_mmse_oracle(snr):
     x, w = np.polynomial.hermite.hermgauss(127)
     vals = np.tanh(snr + math.sqrt(2.0 * snr) * x)
     return 1.0 - float(w @ vals) / math.sqrt(math.pi)
+
+
+def mp_binary_mmse(snr):
+    """40-digit oracle E[sech^2(snr + sqrt(snr) Z)] for binary input.
+
+    Integrated in y = snr + sqrt(snr) Z, where the Gaussian weight is
+    exp(-snr/2 + y - y^2/(2 snr)) / sqrt(2 pi snr) and the integrand has
+    unit width around y = 0 at every snr."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(snr)
+        val = mpmath.quad(lambda y: mpmath.sech(y) ** 2 * mpmath.exp(y - y * y / (2 * s)),
+                          [-mpmath.inf, 0, mpmath.inf])
+        return float(val * mpmath.exp(-s / 2) / mpmath.sqrt(2 * mpmath.pi * s))
 
 
 class TestPriorConstruction:
@@ -132,6 +146,14 @@ class TestMmse:
                                     limit=500)
             assert mmse(binary_prior(), snr) == pytest.approx(1.0 - val,
                                                               rel=1e-10)
+
+    def test_binary_tiny_errors_against_mpmath_oracle(self):
+        # the error is far below 1 here, so a 1 - E[<x>^2] form would
+        # cancel; the posterior-variance form keeps full relative accuracy
+        for snr in (16.0, 50.0, 200.0):
+            assert mmse(binary_prior(), snr) == pytest.approx(
+                mp_binary_mmse(snr), rel=1e-9, abs=0.0)
+        assert mmse(binary_prior(), 1e6) <= 1e-300
 
     def test_binary_against_monte_carlo(self):
         rng = np.random.default_rng(2024)

@@ -70,20 +70,24 @@ class TestSolveSaddle:
         assert sol.snr == pytest.approx(1.0 / 1e6, rel=1e-2)
         assert 0.0 <= sol.mutual_information < 1e-5
 
-    def test_residuals_meet_fixed_point_equations(self):
+    @pytest.mark.parametrize("law, noise_var", [
+        *(pytest.param(make_mp_law(1.5), s2, id=f"mp-1.5-{s2:g}")
+          for s2 in (0.25, 0.5, 1.0)),
+        # E ~ 1e-6 root: the defect is only as accurate as mmse at snr ~ 1e6
+        pytest.param(make_wbe_law(1.5), 1e-6, id="wbe-1.5-1e-06"),
+    ])
+    def test_residuals_meet_fixed_point_equations(self, law, noise_var):
         from spreadmi.channel import mmse as channel_mmse
         from spreadmi.spectra import r_transform
-        for noise_var in (0.25, 0.5, 1.0):
-            spec = SystemSpec(prior=binary_prior(), spectrum=make_mp_law(1.5),
-                              noise_var=noise_var)
-            for sol in solve_saddle(spec):
-                tol = 1e-9 * max(1.0, sol.snr)
-                assert abs(sol.mmse - channel_mmse(spec.prior, sol.snr)) <= tol
-                update = r_transform(spec.spectrum,
-                                     -sol.mmse / noise_var) / noise_var
-                assert abs(sol.snr - update) <= tol
-                assert 0.0 <= sol.mmse <= 1.0
-                assert sol.snr > 0.0
+        spec = SystemSpec(prior=binary_prior(), spectrum=law, noise_var=noise_var)
+        for sol in solve_saddle(spec):
+            tol = 1e-9 * max(1.0, sol.snr)
+            assert abs(sol.mmse - channel_mmse(spec.prior, sol.snr)) <= tol
+            update = r_transform(spec.spectrum,
+                                 -sol.mmse / noise_var) / noise_var
+            assert abs(sol.snr - update) <= tol
+            assert 0.0 <= sol.mmse <= 1.0
+            assert sol.snr > 0.0
 
     @pytest.mark.parametrize("law, noise_var", [
         pytest.param(make_mp_law(1.5), 0.125, id="mp-1.5-0.125"),

@@ -3,13 +3,15 @@ quadrature and closed-form oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from spreadmi import (ConstraintViolation, EigenDistribution, NumericsError,
                       as_generic, g_integral, hilbert, make_discrete_law,
-                      make_mp_law, make_wbe_law, r_transform, z_min)
+                      make_mp_law, make_wbe_law, r_transform,
+                      sample_candidate_spectrum, z_min)
 from spreadmi.spectra import GENERIC, MP, WBE
 
 
@@ -29,6 +31,53 @@ def mp_quad(f, beta):
                               epsabs=1e-13, epsrel=1e-13, limit=400)
     assert err < 1e-9
     return val
+
+
+def mp_r_transform(law, z):
+    """R(z) = gamma - 1/z with sum_i w_i/(gamma - lam_i) = z, as a
+    40-digit mpf.
+
+    The sum runs over the law's atoms and, for a continuous part, its
+    quadrature nodes, with the weights normalized to unit mass, so the
+    oracle inverts exactly the probability law the package sees.  The
+    root is bracketed by a plain search toward the support edge and
+    refined by mpmath.findroot."""
+    lam = [l for l, _ in law.atoms]
+    wgt = [w for _, w in law.atoms]
+    if law.density is not None:
+        lam += law.density.nodes.tolist()
+        wgt += law.density.weights.tolist()
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(l) for l in lam]
+        mass = mpmath.fsum(mpmath.mpf(w) for w in wgt)
+        wgt = [mpmath.mpf(w) / mass for w in wgt]
+        z = mpmath.mpf(z)
+        edge = min(lam)
+
+        def defect(g):
+            return mpmath.fsum(w / (g - l) for l, w in zip(lam, wgt)) - z
+
+        lo = edge + 1 / z
+        while defect(lo) < 0:
+            lo = edge + 2 * (lo - edge)
+        hi = (lo + edge) / 2
+        while defect(hi) > 0:
+            hi = (hi + edge) / 2
+        gamma = mpmath.findroot(defect, (lo, hi), solver="anderson")
+        return gamma - 1 / z
+
+
+def oracle_laws():
+    """Generic laws for the inversion oracle, with their z grids."""
+    z = -np.geomspace(1e6, 1e-6, 13)
+    for seed, beta, n in ((0, 2.0, 3), (3, 2.0, 5), (5, 1.2, 3), (7, 4.0, 4)):
+        yield pytest.param(sample_candidate_spectrum(seed, beta, n), z,
+                           id=f"sampled{seed}-{beta:g}-{n}")
+    yield pytest.param(as_generic(make_wbe_law(1.0001)), z, id="wbe-1.0001")
+    # no zero atom: the domain ends at z_min, probed just inside it
+    mp_half = as_generic(make_mp_law(0.5))
+    zm = z_min(mp_half)
+    yield pytest.param(mp_half, np.append(0.999 * zm, z[z > zm]), id="mp-0.5")
 
 
 def single_atom_law(loc):
@@ -197,6 +246,24 @@ class TestRTransform:
             vec = r_transform(law, np.array([z]))[0]
             assert scalar == pytest.approx(vec, rel=1e-12)
 
+    @pytest.mark.parametrize("law, z", oracle_laws())
+    def test_generic_inversion_against_mpmath_oracle(self, law, z):
+        oracle = [float(mp_r_transform(law, zi)) for zi in z]
+        np.testing.assert_allclose(r_transform(law, z), oracle, rtol=1e-9)
+        # scalar calls take the same route
+        for zi, ri in zip(z[::4], oracle[::4]):
+            assert r_transform(law, float(zi)) == pytest.approx(ri, rel=1e-9,
+                                                                abs=0.0)
+
+    def test_generic_tiny_z_tends_to_mean(self):
+        # R(z) = mean + var z + O(z^2); gamma = R + 1/z is then huge, so the
+        # inversion must not form R as a difference of gamma and 1/z
+        law = sample_candidate_spectrum(1, 2.0, 3)
+        var = sum(w * (l - 1.0) ** 2 for l, w in law.atoms)
+        for z in (-1e-8, -1e-12, -1e-156, -1e-300):
+            assert r_transform(law, z) == pytest.approx(1.0 + var * z,
+                                                        rel=1e-14, abs=0.0)
+
     def test_defining_relation(self):
         z = -np.geomspace(5.0, 1e-3, 40)
         for law in (make_mp_law(1.5), make_wbe_law(2.0),
@@ -244,15 +311,22 @@ class TestZMinBoundary:
 
 class TestGIntegral:
     def test_empty_integral(self):
-        assert g_integral(make_wbe_law(1.5), 0.0) == 0.0
+        for law in (make_wbe_law(1.5), make_mp_law(1.5),
+                    sample_candidate_spectrum(0, 2.0, 3)):
+            assert g_integral(law, 0.0) == 0.0
+            assert g_integral(law, -0.0) == 0.0
 
     def test_mp_against_analytic_antiderivative(self):
         # integral of 1/(1 - beta z) from 0 to t is -log(1 - beta t)/beta
-        for beta in (1.2, 1.5, 2.0):
-            law = make_mp_law(beta)
-            for t in (-0.25, -1.0, -3.0):
-                oracle = -math.log(1.0 - beta * t) / beta
-                assert g_integral(law, t) == pytest.approx(oracle, rel=1e-10)
+        cases = [(beta, t) for beta in (1.2, 1.5, 2.0)
+                 for t in (-0.25, -1.0, -3.0)]
+        # beta <= 1 past z_min: R continues analytically there, while the
+        # identity G = t R - int log(1 + t (R - lam)) dF no longer holds
+        cases.append((0.5, -40.0))
+        for beta, t in cases:
+            oracle = -math.log(1.0 - beta * t) / beta
+            assert g_integral(make_mp_law(beta), t) == pytest.approx(
+                oracle, rel=1e-10)
 
     def test_wbe_against_riemann_sum_oracle(self):
         law = make_wbe_law(1.5)
@@ -273,6 +347,22 @@ class TestGIntegral:
     def test_rejects_positive_t(self):
         with pytest.raises(ValueError):
             g_integral(make_mp_law(1.5), 0.1)
+
+    @pytest.mark.parametrize("law", [
+        pytest.param(sample_candidate_spectrum(0, 2.0, 3), id="sampled0-2-3"),
+        pytest.param(sample_candidate_spectrum(3, 2.0, 5), id="sampled3-2-5"),
+        pytest.param(as_generic(make_wbe_law(1.0001)), id="wbe-1.0001"),
+    ])
+    def test_atomic_laws_against_mpmath_quadrature(self, law):
+        for t in (-1e-3, -1.0, -40.0):
+            # R bends sharply near z = -1 when beta -> 1; split the range
+            # there.  20 digits of quadrature over the 40-digit R are ample
+            # for the 1e-9 check.
+            pts = [0.0] + [b for b in (-1.0, -4.0) if b > t] + [t]
+            with mpmath.workdps(20):
+                oracle = mpmath.quad(lambda s: mp_r_transform(law, s), pts)
+            assert g_integral(law, t) == pytest.approx(float(oracle), rel=1e-9,
+                                                       abs=0.0)
 
     def test_generic_path_matches_closed_path(self):
         law = make_wbe_law(1.5)
