@@ -11,14 +11,10 @@ and general zero-mean unit-variance discrete input laws.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
-
-from .errors import NumericsError
 
 GAUSSIAN = "gaussian"
 BINARY = "binary"
@@ -72,6 +68,11 @@ class InputPrior:
     @cached_property
     def _probs(self) -> np.ndarray:
         return np.array([p for _, p in self.alphabet], dtype=float)
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self._values)
+        return self._values[order], self._probs[order]
 
     def entropy(self) -> float:
         """Shannon entropy in nats (discrete kinds only)."""
@@ -189,6 +190,19 @@ def _mixture_rule(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _output_table(prior: InputPrior, snr: float):
+    """Weights ``w``, log-kernel row maxima ``top`` and the stabilized kernel
+    ``pi_i exp(-(v - c_i)^2 / 2 - top)`` on the mixture rule in the rescaled
+    output ``v = sqrt(snr) u``, where the noise has unit width; the density
+    of ``v`` is ``exp(top) sum_i kern_i / sqrt(2 pi)``."""
+    values, probs = prior._sorted
+    centers = math.sqrt(snr) * values
+    v, w = _mixture_rule(centers)
+    logk = -0.5 * (v[:, None] - centers) ** 2
+    top = logk.max(axis=1)
+    return w, top, np.exp(logk - top[:, None]) * probs
+
+
 def mmse(prior: InputPrior, snr: float) -> float:
     """Minimum mean-square error of estimating the input from the output.
 
@@ -200,20 +214,14 @@ def mmse(prior: InputPrior, snr: float) -> float:
         return 1.0
     if prior.kind == GAUSSIAN:
         return 1.0 / (1.0 + snr)
-    # the error is the mean posterior variance, integrated in the rescaled
-    # output v = sqrt(snr) u where the noise has unit width; its terms are
-    # non-negative, so it stays accurate where it is tiny (the equal
-    # 1 - E[<x>^2] cancels there)
-    order = np.argsort(prior._values)
-    values = prior._values[order]
-    centers = math.sqrt(snr) * values
-    v, w = _mixture_rule(centers)
-    logk = -0.5 * (v[:, None] - centers) ** 2
-    top = logk.max(axis=1, keepdims=True)
-    kern = np.exp(logk - top) * prior._probs[order]
+    # the error is the mean posterior variance; its terms are non-negative,
+    # so it stays accurate where it is tiny (the equal 1 - E[<x>^2] cancels
+    # there)
+    values = prior._sorted[0]
+    w, top, kern = _output_table(prior, snr)
     mean_post = (kern @ values) / kern.sum(axis=1)
     spread = (kern * (values - mean_post[:, None]) ** 2).sum(axis=1)
-    err = float(w @ (np.exp(top[:, 0]) * spread)) / math.sqrt(2.0 * math.pi)
+    err = float(w @ (np.exp(top) * spread)) / math.sqrt(2.0 * math.pi)
     return min(1.0, err)
 
 
@@ -226,31 +234,11 @@ def output_entropy(prior: InputPrior, snr: float) -> float:
     snr = _check_snr(snr)
     if prior.kind == GAUSSIAN:
         return 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + 1.0 / snr))
-    # integrate in the rescaled variable v = sqrt(snr) u, where the output
-    # is a unit-variance Gaussian mixture regardless of snr
-    order = np.argsort(prior._values)
-    centers = math.sqrt(snr) * prior._values[order]
-    probs = prior._probs[order]
-
-    def neg_plogp(v):
-        logk = -0.5 * (v - centers) ** 2 - 0.5 * _LOG_2PI
-        top = logk.max()
-        p = math.exp(top) * float(probs @ np.exp(logk - top))
-        if p <= 0.0:
-            return 0.0
-        return -p * math.log(p)
-
-    span = 10.0
-    lo, hi = centers[0] - span, centers[-1] + span
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        h_v, err = integrate.quad(neg_plogp, lo, hi, epsabs=1e-12, epsrel=1e-12,
-                                  limit=300, points=list(centers))
-    if not math.isfinite(h_v) or err > 1e-8:
-        raise NumericsError(
-            f"entropy quadrature did not converge (estimate {h_v!r}, error "
-            f"bound {err!r})")
-    return h_v - 0.5 * math.log(snr)
+    # -int p log p in v; the kernel sum is at least the smallest prior
+    # probability, so log p is finite at every node
+    w, top, kern = _output_table(prior, snr)
+    logp = top + np.log(kern.sum(axis=1)) - 0.5 * _LOG_2PI
+    return float(-(w @ (np.exp(logp) * logp))) - 0.5 * math.log(snr)
 
 
 def scalar_mutual_information(prior: InputPrior, snr: float) -> float:

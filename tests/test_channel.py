@@ -22,6 +22,26 @@ def four_point_prior():
                                       (1.0, 0.4), (3.0, 0.1)])
 
 
+def pam4_prior():
+    return normalized_discrete_prior([(-3.0, 0.25), (-1.0, 0.25),
+                                      (1.0, 0.25), (3.0, 0.25)])
+
+
+def skewed_prior():
+    return normalized_discrete_prior([(0.0, 0.7), (1.0, 0.2), (5.0, 0.1)])
+
+
+def wide_prior():
+    # adjacent centers 0.1 and 10 standard deviations apart
+    return normalized_discrete_prior([(0.0, 0.01), (1000.0, 0.98),
+                                      (100000.0, 0.01)])
+
+
+def pam64_prior():
+    return normalized_discrete_prior([(2.0 * i - 63.0, 1.0 / 64.0)
+                                      for i in range(64)])
+
+
 def gh_binary_mmse_oracle(snr):
     x, w = np.polynomial.hermite.hermgauss(127)
     vals = np.tanh(snr + math.sqrt(2.0 * snr) * x)
@@ -39,6 +59,47 @@ def mp_binary_mmse(snr):
         val = mpmath.quad(lambda y: mpmath.sech(y) ** 2 * mpmath.exp(y - y * y / (2 * s)),
                           [-mpmath.inf, 0, mpmath.inf])
         return float(val * mpmath.exp(-s / 2) / mpmath.sqrt(2 * mpmath.pi * s))
+
+
+def mp_atoms(prior, snr):
+    """Alphabet values, probabilities and centers sqrt(snr) x of the
+    unit-width output mixture in v = sqrt(snr) u, at the working precision."""
+    s = mpmath.sqrt(mpmath.mpf(snr))
+    return [(mpmath.mpf(x), mpmath.mpf(p), s * mpmath.mpf(x))
+            for x, p in prior.alphabet]
+
+
+def mp_output_entropy(prior, snr):
+    """40-digit oracle -int p log p of the output, integrated in v with
+    breakpoints at the centers; h(u) = h(v) - log(snr)/2."""
+    with mpmath.workdps(40):
+        atoms = mp_atoms(prior, snr)
+
+        def neg_plogp(v):
+            p = sum(q * mpmath.npdf(v, c) for _, q, c in atoms)
+            return -p * mpmath.log(p)
+
+        cuts = sorted(c for _, _, c in atoms)
+        h_v = mpmath.quad(neg_plogp, [-mpmath.inf] + cuts + [mpmath.inf])
+        return float(h_v - mpmath.log(mpmath.mpf(snr)) / 2)
+
+
+def mp_mmse(prior, snr):
+    """40-digit oracle of the mean posterior variance, written as
+    sum_{i<j} k_i k_j (x_i - x_j)^2 / sum_i k_i over the mixture terms k_i,
+    integrated in v with breakpoints at the centers and their midpoints."""
+    with mpmath.workdps(40):
+        atoms = mp_atoms(prior, snr)
+
+        def spread(v):
+            k = [q * mpmath.npdf(v, c) for _, q, c in atoms]
+            pairs = sum(k[i] * k[j] * (atoms[i][0] - atoms[j][0]) ** 2
+                        for i in range(len(k)) for j in range(i))
+            return pairs / sum(k)
+
+        cs = sorted(c for _, _, c in atoms)
+        cuts = sorted(cs + [(a + b) / 2 for a, b in zip(cs, cs[1:])])
+        return float(mpmath.quad(spread, [-mpmath.inf] + cuts + [mpmath.inf]))
 
 
 class TestPriorConstruction:
@@ -145,7 +206,7 @@ class TestMmse:
             val, _ = integrate.quad(f, -45.0, 45.0, epsabs=1e-15, epsrel=1e-13,
                                     limit=500)
             assert mmse(binary_prior(), snr) == pytest.approx(1.0 - val,
-                                                              rel=1e-10)
+                                                              rel=1e-10, abs=0.0)
 
     def test_binary_tiny_errors_against_mpmath_oracle(self):
         # the error is far below 1 here, so a 1 - E[<x>^2] form would
@@ -154,6 +215,12 @@ class TestMmse:
             assert mmse(binary_prior(), snr) == pytest.approx(
                 mp_binary_mmse(snr), rel=1e-9, abs=0.0)
         assert mmse(binary_prior(), 1e6) <= 1e-300
+
+    @pytest.mark.parametrize("snr", [0.5, 5.0, 50.0, 200.0])
+    def test_4pam_against_mpmath_oracle(self, snr):
+        # at snr 200 the error is ~1.2e-10
+        assert mmse(pam4_prior(), snr) == pytest.approx(
+            mp_mmse(pam4_prior(), snr), rel=1e-9, abs=0.0)
 
     def test_binary_against_monte_carlo(self):
         rng = np.random.default_rng(2024)
@@ -207,6 +274,13 @@ class TestOutputEntropy:
         with pytest.raises(ValueError):
             output_entropy(binary_prior(), 0.0)
 
+    @pytest.mark.parametrize("snr", [0.05, 1.0, 20.0, 1e3])
+    @pytest.mark.parametrize("prior", [binary_prior(), pam4_prior(), skewed_prior()],
+                             ids=["binary", "4pam", "skewed"])
+    def test_against_mpmath_oracle(self, prior, snr):
+        assert output_entropy(prior, snr) == pytest.approx(
+            mp_output_entropy(prior, snr), abs=1e-12, rel=0.0)
+
 
 class TestInformationIdentities:
     def test_i_mmse_by_central_differences(self):
@@ -222,8 +296,20 @@ class TestInformationIdentities:
         assert scalar_mutual_information(gaussian_prior(), 1.0) == pytest.approx(
             0.5 * math.log(2.0), abs=1e-14)
 
-    def test_binary_mi_saturates_at_one_bit(self):
-        lo = scalar_mutual_information(binary_prior(), 0.01)
-        hi = scalar_mutual_information(binary_prior(), 50.0)
-        assert 0.0 < lo < hi <= math.log(2.0) + 1e-12
-        assert hi == pytest.approx(math.log(2.0), abs=1e-6)
+    @pytest.mark.parametrize("prior, snr, tol", [
+        pytest.param(binary_prior(), 50.0, dict(abs=1e-6), id="binary"),
+        # components at least 54 noise widths apart: I = H(X) to double
+        # precision
+        pytest.param(wide_prior(), 5.62e5, dict(rel=1e-12, abs=0.0),
+                     id="wide-5.62e5"),
+        pytest.param(wide_prior(), 1e6, dict(rel=1e-12, abs=0.0), id="wide-1e6"),
+        pytest.param(pam64_prior(), 1e6, dict(rel=1e-12, abs=0.0),
+                     id="64pam-1e6"),
+    ])
+    def test_binary_mi_saturates_at_one_bit(self, prior, snr, tol):
+        """The input entropy (one bit for binary input) once the alphabet
+        is resolved."""
+        lo = scalar_mutual_information(prior, 0.01)
+        hi = scalar_mutual_information(prior, snr)
+        assert 0.0 < lo < hi <= prior.entropy() + 1e-12
+        assert hi == pytest.approx(prior.entropy(), **tol)

@@ -142,6 +142,27 @@ class TestMiSweep:
         assert float(rows[0]["C"]) == pytest.approx(0.45075083582577746,
                                                     abs=1e-8)
 
+    @pytest.mark.parametrize("prior, spectra, entropy", [
+        pytest.param("discrete:[[0,0.01],[1000,0.98],[100000,0.01]]", ["mp", "wbe"],
+                     -(0.98 * math.log(0.98) + 0.02 * math.log(0.01)), id="wide"),
+        pytest.param("discrete:" + str([[2 * i - 63, 1] for i in range(64)]),
+                     ["wbe"], math.log(64.0), id="64pam"),
+    ])
+    def test_separated_alphabet_saturates_at_input_entropy(self, tmp_path, prior,
+                                                           spectra, entropy):
+        # at sigma2 1e-6 adjacent components are >= 54 noise widths apart,
+        # so C is the input entropy
+        out = tmp_path / "sep.csv"
+        args = ["mi-sweep", "--prior", prior, "--beta", "1.5",
+                "--sigma2-grid", "1e-6", "--out", str(out)]
+        for name in spectra:
+            args += ["--spectrum", name]
+        assert main(args) == 0
+        _, rows = rows_of(out)
+        assert [r["spectrum"] for r in rows] == spectra
+        for r in rows:
+            assert float(r["C"]) == pytest.approx(entropy, abs=1e-9)
+
     def test_single_point_alphabet_rejected(self, tmp_path):
         code = main(["mi-sweep", "--prior", "discrete:[[3,1.0]]",
                      "--spectrum", "wbe", "--beta", "1.5",
