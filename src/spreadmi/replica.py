@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channel import InputPrior, mmse, output_entropy
+from .errors import NumericsError
 from .spectra import EigenDistribution, g_integral, r_transform
 
 logger = logging.getLogger(__name__)
@@ -100,6 +100,79 @@ def _suspect_dips(d):
     return out
 
 
+def _brentq(f, xa, xb):
+    """Root of ``f`` on the sign-changing bracket ``[xa, xb]`` and the
+    iteration count, by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of the reference C ``brentq`` with ``xtol=1e-300``,
+    ``rtol = 4 eps`` and at most 100 iterations: the same state update,
+    step test and stopping rule, so roots and iteration counts agree with
+    that routine bit for bit.  A NaN value of ``f``, a bracket without a
+    sign change or a missed convergence raises ``NumericsError``.
+    """
+    # roots span many decades: stop on the relative tolerance only
+    xtol, rtol, maxiter = 1e-300, 4.0 * math.ulp(1.0), 100
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericsError(
+                f"the fixed-point defect at snr={x} is NaN; "
+                "the root search cannot continue")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericsError(
+            f"no sign change of the defect on [{xa}, {xb}]")
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise NumericsError(
+        f"Brent's method did not converge in {maxiter} iterations "
+        f"on [{xa}, {xb}]")
+
+
 def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     """All stable fixed points, sorted by free energy (ascending).
 
@@ -138,10 +211,7 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
         if a == b:
             root, steps = a, 0
         else:
-            # roots span many decades: stop on the relative tolerance only
-            root, res = optimize.brentq(defect, a, b, xtol=1e-300,
-                                        full_output=True)
-            steps = res.iterations
+            root, steps = _brentq(defect, a, b)
         err = mmse(spec.prior, root)
         info = _information_at(spec, err, root)
         solutions.append(SaddleSolution(

@@ -251,7 +251,7 @@ class TestOutputEntropy:
         snr = 1e-6
         floor = 0.5 * math.log(2.0 * math.pi * math.e / snr)
         assert output_entropy(binary_prior(), snr) == pytest.approx(
-            floor, rel=1e-6)
+            floor, rel=1e-6, abs=0.0)
 
     def test_binary_against_monte_carlo(self):
         snr = 1.0
@@ -290,7 +290,8 @@ class TestInformationIdentities:
                 h = 1e-3 * snr
                 deriv = (scalar_mutual_information(prior, snr + h)
                          - scalar_mutual_information(prior, snr - h)) / (2 * h)
-                assert deriv == pytest.approx(0.5 * mmse(prior, snr), rel=1e-4)
+                assert deriv == pytest.approx(0.5 * mmse(prior, snr), rel=1e-4,
+                                              abs=0.0)
 
     def test_gaussian_scalar_mi(self):
         assert scalar_mutual_information(gaussian_prior(), 1.0) == pytest.approx(

@@ -54,7 +54,8 @@ class TestMiSweep:
         _, rn = rows_of(nats)
         _, rb = rows_of(bits)
         for a, b in zip(rn, rb):
-            assert float(b["C"]) == pytest.approx(float(a["C"]) / LN2, rel=1e-10)
+            assert float(b["C"]) == pytest.approx(float(a["C"]) / LN2, rel=1e-10,
+                                                    abs=0.0)
             assert b["E"] == a["E"] and b["theta"] == a["theta"]
 
     def test_ebn0_axis_labelled(self, tmp_path):
@@ -67,7 +68,7 @@ class TestMiSweep:
         # sigma2 = 1/(2 * 10^(EbN0/10))
         assert float(rows[0]["sigma2"]) == pytest.approx(0.5, abs=1e-12)
         assert float(rows[2]["sigma2"]) == pytest.approx(
-            1.0 / (2.0 * 10.0 ** 0.8), rel=1e-10)
+            1.0 / (2.0 * 10.0 ** 0.8), rel=1e-10, abs=0.0)
 
     def test_byte_reproducible(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -94,7 +95,8 @@ class TestMiSweep:
         _, rows = rows_of(out)
         # the bits flag overrides the nats in the file
         nats_value = 0.45075083582577746
-        assert float(rows[0]["C"]) == pytest.approx(nats_value / LN2, rel=1e-8)
+        assert float(rows[0]["C"]) == pytest.approx(nats_value / LN2, rel=1e-8,
+                                                    abs=0.0)
 
     def test_missing_grid_is_config_error(self, tmp_path):
         code = main(["mi-sweep", "--prior", "binary", "--spectrum", "wbe",
@@ -307,3 +309,14 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_import_loads_no_scipy(self):
+        """The runtime needs only numpy; scipy is a test oracle, and a cold
+        start of the CLI does not pay for importing it."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spreadmi.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -9,11 +9,44 @@ from scipy import integrate, optimize
 
 from spreadmi import (NumericsError, SystemSpec, as_generic, binary_prior,
                       free_energy, gaussian_prior, make_mp_law, make_wbe_law,
-                      mutual_information, sample_candidate_spectrum,
-                      solve_saddle)
-from spreadmi.replica import _snr_update
+                      mutual_information, normalized_discrete_prior,
+                      sample_candidate_spectrum, solve_saddle)
+from spreadmi import replica
+from spreadmi.replica import _brentq, _snr_update
 
 WBE_GAUSS_C = math.log(4.0) / 3.0  # (1/(2 beta)) log(1 + beta/s2) at 1.5, 0.5
+
+PAM16 = normalized_discrete_prior([(2.0 * i - 15.0, 1.0 / 16.0)
+                                   for i in range(16)])
+
+# Solver inputs checked against the dense residual scan: the binary
+# coexistence region, an ``E = 0`` root at ``snr = 1/noise_var`` (sigma2 <=
+# 0.0105 at loads 3 and 4, where ``mmse`` underflows), an ``E ~ 1`` root next
+# to the lower end of the search interval (sigma2 = 1e6) or exactly on it
+# (1e8), and the domain edges: loads 1.0001, 1, 0.5 and 10, sigma2 = 1e-4,
+# and a 16-PAM input with two fixed points.
+SCAN_CASES = [
+    pytest.param(binary_prior(), make_mp_law(1.5), 0.125, id="mp-1.5-0.125"),
+    pytest.param(binary_prior(), make_mp_law(2.0), 0.1, id="mp-2-0.1"),
+    *(pytest.param(binary_prior(), make(beta), s2,
+                   id=f"{name}-{beta:g}-{s2:g}")
+      for name, make in (("mp", make_mp_law), ("wbe", make_wbe_law))
+      for beta in (3.0, 4.0) for s2 in (0.005, 0.0105)),
+    pytest.param(binary_prior(), sample_candidate_spectrum(1, 2.0, 3), 0.05,
+                 id="sampled1-2-0.05"),
+    pytest.param(binary_prior(), sample_candidate_spectrum(5, 2.0, 3), 0.05,
+                 id="sampled5-2-0.05"),
+    pytest.param(binary_prior(), make_wbe_law(1.5), 1e6, id="wbe-1.5-1e6"),
+    pytest.param(binary_prior(), make_wbe_law(1.5), 1e8, id="wbe-1.5-1e8"),
+    *(pytest.param(binary_prior(), make_wbe_law(1.0001), s2,
+                   id=f"wbe-1.0001-{s2:g}") for s2 in (0.1, 1e-3)),
+    pytest.param(binary_prior(), make_mp_law(1.0), 0.1, id="mp-1-0.1"),
+    pytest.param(binary_prior(), make_mp_law(10.0), 0.5, id="mp-10-0.5"),
+    pytest.param(binary_prior(), make_mp_law(10.0), 0.05, id="mp-10-0.05"),
+    pytest.param(binary_prior(), make_mp_law(0.5), 1e-4, id="mp-0.5-0.0001"),
+    pytest.param(binary_prior(), make_wbe_law(1.5), 1e-4, id="wbe-1.5-0.0001"),
+    pytest.param(PAM16, make_wbe_law(1.5), 1e-3, id="16pam-wbe-1.5-0.001"),
+]
 
 
 def spectral_gaussian_capacity(beta, noise_var):
@@ -67,7 +100,7 @@ class TestSolveSaddle:
                           noise_var=1e6)
         sol = mutual_information(spec)
         assert sol.mmse == pytest.approx(1.0, abs=1e-5)
-        assert sol.snr == pytest.approx(1.0 / 1e6, rel=1e-2)
+        assert sol.snr == pytest.approx(1.0 / 1e6, rel=1e-2, abs=0.0)
         assert 0.0 <= sol.mutual_information < 1e-5
 
     @pytest.mark.parametrize("law, noise_var", [
@@ -89,28 +122,11 @@ class TestSolveSaddle:
             assert 0.0 <= sol.mmse <= 1.0
             assert sol.snr > 0.0
 
-    @pytest.mark.parametrize("law, noise_var", [
-        pytest.param(make_mp_law(1.5), 0.125, id="mp-1.5-0.125"),
-        pytest.param(make_mp_law(2.0), 0.1, id="mp-2-0.1"),
-        *(pytest.param(make(beta), s2, id=f"{name}-{beta:g}-{s2:g}")
-          for name, make in (("mp", make_mp_law), ("wbe", make_wbe_law))
-          for beta in (3.0, 4.0) for s2 in (0.005, 0.0105)),
-        pytest.param(sample_candidate_spectrum(1, 2.0, 3), 0.05,
-                     id="sampled1-2-0.05"),
-        pytest.param(sample_candidate_spectrum(5, 2.0, 3), 0.05,
-                     id="sampled5-2-0.05"),
-        pytest.param(make_wbe_law(1.5), 1e6, id="wbe-1.5-1e6"),
-        pytest.param(make_wbe_law(1.5), 1e8, id="wbe-1.5-1e8"),
-    ])
-    def test_against_residual_scan_oracle(self, law, noise_var):
+    @pytest.mark.parametrize("prior, law, noise_var", SCAN_CASES)
+    def test_against_residual_scan_oracle(self, prior, law, noise_var):
         """The solver's fixed points are exactly the upward sign changes of
-        the defect on a dense grid: none missing, none extra.  The list
-        covers the binary coexistence region, an ``E = 0`` root at
-        ``snr = 1/noise_var`` (sigma2 <= 0.0105 at loads 3 and 4, where
-        ``mmse`` underflows) and an ``E ~ 1`` root next to the lower end
-        of the search interval (sigma2 = 1e6) or exactly on it (1e8)."""
-        spec = SystemSpec(prior=binary_prior(), spectrum=law,
-                          noise_var=noise_var)
+        the defect on a dense grid: none missing, none extra."""
+        spec = SystemSpec(prior=prior, spectrum=law, noise_var=noise_var)
         sols = solve_saddle(spec)
         grid = np.geomspace(1e-4 / noise_var, 1e3 / noise_var, 2000)
         resid = np.array([t - _snr_update(spec, t) for t in grid])
@@ -125,6 +141,57 @@ class TestSolveSaddle:
             assert min(abs(sol.snr - r) / r for r in roots) < 1e-8
         for r in roots:
             assert min(abs(sol.snr - r) / r for sol in sols) < 1e-8
+
+    def test_brentq_matches_reference_bit_for_bit(self, monkeypatch):
+        """``_brentq`` is a port of the reference ``brentq``: on every
+        bracket the solver builds for the scan-oracle cases, and on classic
+        test functions whose steps reach bisection and extrapolation, it
+        returns the same root bits after the same number of iterations."""
+        brackets = []
+
+        def record(f, a, b):
+            brackets.append((f, a, b))
+            return _brentq(f, a, b)
+
+        monkeypatch.setattr(replica, "_brentq", record)
+        for case in SCAN_CASES:
+            prior, law, noise_var = case.values
+            solve_saddle(SystemSpec(prior=prior, spectrum=law,
+                                    noise_var=noise_var))
+        assert len(brackets) >= len(SCAN_CASES)
+        brackets += [
+            (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+            (lambda x: x * math.exp(-x) - 0.1, 0.0, 1.0),
+            (lambda x: math.exp(x) - 1e4, 0.0, 20.0),
+            (lambda x: (x - 1.0) ** 9 + 1e-6 * (x - 1.0), 0.5, 7.0),
+            (lambda x: math.cbrt(x - 0.7), 0.0, 2.0),
+            (lambda x: math.atan(1e3 * (x - 1e-3)), -1.0, 3.0),
+            (lambda x: -1.0 if x < 0.1234 else x, 0.0, 1.0),
+            (lambda x: x - 1e-6 if x > 1e-6 else -1.0, 0.0, 1e6),
+        ]
+        for f, a, b in brackets:
+            root, steps = _brentq(f, a, b)
+            ref, res = optimize.brentq(f, a, b, xtol=1e-300, full_output=True)
+            assert (root.hex(), steps) == (ref.hex(), res.iterations)
+
+    def test_brentq_failures_raise_numerics_error(self):
+        """Where the reference raises (a NaN value, 100 iterations without
+        convergence), ``_brentq`` raises ``NumericsError``."""
+        def nan_inside(x):
+            return x - 0.5 if x in (0.0, 1.0) else math.nan
+
+        def step(x):
+            return -1.0 if x < 1e-200 else 1.0
+
+        with pytest.raises(ValueError):
+            optimize.brentq(nan_inside, 0.0, 1.0, xtol=1e-300)
+        with pytest.raises(NumericsError):
+            _brentq(nan_inside, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="converge"):
+            optimize.brentq(step, 0.0, 1e300, xtol=1e-300)
+        with pytest.raises(NumericsError):
+            _brentq(step, 0.0, 1e300)
 
     def test_generic_law_outside_inversion_domain(self):
         """A ``beta < 1`` law forced through the numeric R-inversion fails

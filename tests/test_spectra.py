@@ -244,7 +244,7 @@ class TestRTransform:
         for z in (-3.7, -1.0, -1e-3):
             scalar = r_transform(law, z)
             vec = r_transform(law, np.array([z]))[0]
-            assert scalar == pytest.approx(vec, rel=1e-12)
+            assert scalar == pytest.approx(vec, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("law, z", oracle_laws())
     def test_generic_inversion_against_mpmath_oracle(self, law, z):
@@ -326,7 +326,7 @@ class TestGIntegral:
         for beta, t in cases:
             oracle = -math.log(1.0 - beta * t) / beta
             assert g_integral(make_mp_law(beta), t) == pytest.approx(
-                oracle, rel=1e-10)
+                oracle, rel=1e-10, abs=0.0)
 
     def test_wbe_against_riemann_sum_oracle(self):
         law = make_wbe_law(1.5)
@@ -334,7 +334,7 @@ class TestGIntegral:
         n = 2_000_000
         z = (np.arange(n) + 0.5) / n * t
         oracle = float(np.mean(r_transform(law, z)) * t)
-        assert g_integral(law, t) == pytest.approx(oracle, rel=1e-8)
+        assert g_integral(law, t) == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
     def test_nonpositive_and_bounded(self):
         for law in (make_mp_law(1.5), make_wbe_law(2.0)):
@@ -367,7 +367,7 @@ class TestGIntegral:
     def test_generic_path_matches_closed_path(self):
         law = make_wbe_law(1.5)
         assert g_integral(as_generic(law), -1.0) == pytest.approx(
-            g_integral(law, -1.0), rel=1e-9)
+            g_integral(law, -1.0), rel=1e-9, abs=0.0)
 
 
 class TestConstructionInvariants:
