@@ -220,7 +220,9 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     inputs have the closed form :func:`gaussian_exact_mi`.  Sampling uses
     a fixed-size per-chunk seeding scheme and a sorted pairwise-summation
     reduction, so results are reproducible for a given seed regardless of
-    evaluation order.
+    evaluation order.  Scores against the codebook are evaluated in row
+    blocks of about ``2**17`` doubles (one row when the codebook is
+    larger), so memory is the codebook, ``O(M^K (K + L))``, plus one block.
     """
     if prior.kind not in (BINARY, DISCRETE):
         raise ValueError("exact enumeration needs a discrete input prior")
@@ -236,14 +238,18 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
             f"alphabet^users = {m}^{S.K} exceeds the enumeration limit "
             f"{ENUMERATION_LIMIT}")
 
-    # full codebook of input vectors and their channel images
+    # full codebook of input vectors and their channel images, folded into
+    # the score y @ weights + bias = (y.Sc - |Sc|^2/2) / noise_var + log p(c)
     idx = np.indices((m,) * S.K).reshape(S.K, -1).T  # (m^K, K)
-    codebook = values[idx]
-    images = codebook @ S.entries.T                  # (m^K, L)
-    log_prior = np.log(probs)[idx].sum(axis=1)
-    half_sq = 0.5 * (images * images).sum(axis=1)
+    images = values[idx] @ S.entries.T               # (m^K, L)
+    bias = np.log(probs)[idx].sum(axis=1)
+    bias -= 0.5 * (images * images).sum(axis=1) / noise_var
+    weights = images.T / noise_var                   # (L, m^K)
     sigma = math.sqrt(noise_var)
     cum = np.cumsum(probs)
+    # score rows per block: a fixed budget of 2^17 doubles (1 MiB)
+    rows = max(1, 2 ** 17 // bias.size)
+    buf = np.empty((rows, bias.size))
 
     vals = np.empty(n_samples)
     pos = 0
@@ -260,9 +266,15 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
         # log p(y | x) - log p(y) with the common -|y|^2/(2 s2) and
         # Gaussian normalization cancelling
         ll_true = -0.5 * ((sigma * noise) ** 2).sum(axis=1) / noise_var
-        score = (y @ images.T - half_sq) / noise_var + log_prior
-        top = score.max(axis=1)
-        log_mix = top + np.log(np.exp(score - top[:, None]).sum(axis=1))
+        log_mix = np.empty(b)
+        for lo in range(0, b, rows):
+            score = buf[:min(rows, b - lo)]
+            np.matmul(y[lo:lo + rows], weights, out=score)
+            score += bias
+            top = score.max(axis=1)
+            score -= top[:, None]
+            np.exp(score, out=score)
+            log_mix[lo:lo + rows] = top + np.log(score.sum(axis=1))
         ysq = 0.5 * (y * y).sum(axis=1) / noise_var
         vals[pos:pos + b] = (ll_true + ysq - log_mix) / S.K
         pos += b

@@ -1,20 +1,63 @@
 """Finite-size matrices, empirical spectra, and exact enumeration MI."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spreadmi import (EnumerationLimitError, SpreadingMatrix, binary_prior,
                       empirical_spectrum, exact_mutual_information,
                       gaussian_exact_mi, gaussian_prior, gen_iid_spreading,
                       gen_wbe_spreading, ks_distance, make_mp_law, make_wbe_law,
-                      mutual_information, read_matrix,
-                      scalar_mutual_information, write_matrix, SystemSpec)
+                      mutual_information, normalized_discrete_prior,
+                      read_matrix, scalar_mutual_information, write_matrix,
+                      SystemSpec)
 
 
 def unit_matrix():
     return SpreadingMatrix(entries=np.array([[1.0]]), kind="iid")
+
+
+def pam4_prior():
+    return normalized_discrete_prior([(-3.0, 0.25), (-1.0, 0.25),
+                                      (1.0, 0.25), (3.0, 0.25)])
+
+
+def skewed_prior():
+    return normalized_discrete_prior([(0.0, 0.7), (1.0, 0.2), (5.0, 0.1)])
+
+
+def replayed_mi_samples(S, prior, noise_var, n_samples, seed):
+    """Per-sample ``(log p(y|x) - log p(y)) / K`` from explicit Gaussian
+    log-densities, on the documented seeding scheme: 256-sample chunks,
+    chunk ``i`` drawn from ``SeedSequence((seed, i))``, inputs by
+    ``searchsorted`` on the cumulative prior, then the noise."""
+    values = np.array([x for x, _ in prior.alphabet])
+    probs = np.array([p for _, p in prior.alphabet])
+    K, L = S.K, S.L
+    inputs = list(itertools.product(prior.alphabet, repeat=K))
+    images = np.array([[x for x, _ in c] for c in inputs]) @ S.entries.T
+    log_prior = np.array([sum(math.log(p) for _, p in c) for c in inputs])
+    log_norm = -0.5 * L * math.log(2.0 * math.pi * noise_var)
+
+    def log_gauss(y, mean):
+        return log_norm - ((y - mean) ** 2).sum(axis=-1) / (2.0 * noise_var)
+
+    out = []
+    for chunk_id, pos in enumerate(range(0, n_samples, 256)):
+        b = min(256, n_samples - pos)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_id)))
+        picks = np.searchsorted(np.cumsum(probs), rng.random((b, K)),
+                                side="right")
+        x = values[np.minimum(picks, values.size - 1)]
+        y = x @ S.entries.T + math.sqrt(noise_var) * rng.standard_normal((b, L))
+        log_joint = log_prior + log_gauss(y[:, None, :], images[None, :, :])
+        log_py = logsumexp(log_joint, axis=1)
+        out.append((log_gauss(y, x @ S.entries.T) - log_py) / K)
+    return np.concatenate(out)
 
 
 class TestIidGeneration:
@@ -168,6 +211,45 @@ class TestExactMutualInformation:
             exact_mutual_information(s, gaussian_prior(), 0.5, 2_000, 0)
         with pytest.raises(ValueError, match="1000"):
             exact_mutual_information(s, binary_prior(), 0.5, 500, 0)
+
+    @pytest.mark.parametrize("K, L, prior", [
+        (10, 6, binary_prior()),
+        (6, 4, skewed_prior()),
+    ], ids=["binary-K10", "skewed-K6"])
+    def test_matches_replayed_enumeration_oracle(self, K, L, prior):
+        """Mean and standard error equal an independent replay of the
+        seeding scheme; 1,300 samples leave a partial last chunk."""
+        s = gen_iid_spreading(4, K, L)
+        est = exact_mutual_information(s, prior, 0.5, 1_300, 9)
+        samples = replayed_mi_samples(s, prior, 0.5, 1_300, 9)
+        assert est.value == pytest.approx(samples.mean(), rel=1e-10, abs=0.0)
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert est.std_error == pytest.approx(se, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("noise_var", [0.25, 1.0])
+    @pytest.mark.parametrize("gen, K, L, prior", [
+        (gen_iid_spreading, 12, 8, binary_prior()),
+        (gen_wbe_spreading, 12, 8, binary_prior()),
+        (gen_wbe_spreading, 6, 4, pam4_prior()),
+    ], ids=["iid", "wbe", "4pam"])
+    def test_below_gaussian_input_bound(self, gen, K, L, prior, noise_var):
+        """A unit-variance discrete input carries no more information than
+        the Gaussian input with the same covariance."""
+        s = gen(0, K, L)
+        est = exact_mutual_information(s, prior, noise_var, 4_000, 2)
+        assert est.value <= gaussian_exact_mi(s, noise_var) + 3.0 * est.std_error
+
+    def test_memory_bounded_by_row_blocks(self):
+        """The score matrix is evaluated in fixed-size row blocks, so the
+        traced peak at 16,384 codewords stays near the codebook size."""
+        s = gen_iid_spreading(0, 14, 8)
+        tracemalloc.start()
+        try:
+            exact_mutual_information(s, binary_prior(), 0.5, 1_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_estimate_within_prior_entropy(self):
         s = gen_wbe_spreading(1, 6, 4)
