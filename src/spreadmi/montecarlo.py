@@ -26,6 +26,9 @@ COLUMN_NORM_TOL = 1e-10
 GRAM_TOL = 1e-9
 ENUMERATION_LIMIT = 2 ** 20
 _CHUNK = 256
+# widest span of the fixed cross term of the split codebook sum, in nats:
+# the sum is then at least exp(-600), a normal double, with all factors <= 1
+_SPLIT_RANGE = 600.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +213,21 @@ def gaussian_exact_mi(S: SpreadingMatrix, noise_var: float) -> float:
     return logdet / (2.0 * S.K)
 
 
+def _half_codebook(cols: np.ndarray, values: np.ndarray,
+                   log_probs: np.ndarray, noise_var: float):
+    """Channel images ``(M^k, L)`` and score biases
+    ``log p(a) - |S_A a|^2 / (2 noise_var)`` of every input vector ``a`` of
+    the ``k`` users whose columns are ``cols`` (``L x k``), built one user
+    at a time with the first user most significant."""
+    L = cols.shape[0]
+    images = np.zeros((1, L))
+    log_prior = np.zeros(1)
+    for col in cols.T:
+        images = (images[:, None, :] + values[:, None] * col).reshape(-1, L)
+        log_prior = (log_prior[:, None] + log_probs).ravel()
+    return images, log_prior - 0.5 * (images * images).sum(axis=1) / noise_var
+
+
 def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
                              noise_var: float, n_samples: int,
                              seed: int) -> MiEstimate:
@@ -220,9 +238,12 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     inputs have the closed form :func:`gaussian_exact_mi`.  Sampling uses
     a fixed-size per-chunk seeding scheme and a sorted pairwise-summation
     reduction, so results are reproducible for a given seed regardless of
-    evaluation order.  Scores against the codebook are evaluated in row
-    blocks of about ``2**17`` doubles (one row when the codebook is
-    larger), so memory is the codebook, ``O(M^K (K + L))``, plus one block.
+    evaluation order.  The sum over input vectors ``c = (a, b)`` is split
+    between the first ``K_A`` users and the rest, as
+    ``exp(u(y)) @ exp(M) @ exp(v(y))`` with the cross term ``M`` fixed per
+    call; ``K_A = 0`` is the unsplit sum.  Memory is
+    ``O((M^K_A + M^K_B) L + M^K)`` plus one row block of about ``2**17``
+    doubles per half.
     """
     if prior.kind not in (BINARY, DISCRETE):
         raise ValueError("exact enumeration needs a discrete input prior")
@@ -238,18 +259,34 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
             f"alphabet^users = {m}^{S.K} exceeds the enumeration limit "
             f"{ENUMERATION_LIMIT}")
 
-    # full codebook of input vectors and their channel images, folded into
-    # the score y @ weights + bias = (y.Sc - |Sc|^2/2) / noise_var + log p(c)
-    idx = np.indices((m,) * S.K).reshape(S.K, -1).T  # (m^K, K)
-    images = values[idx] @ S.entries.T               # (m^K, L)
-    bias = np.log(probs)[idx].sum(axis=1)
-    bias -= 0.5 * (images * images).sum(axis=1) / noise_var
-    weights = images.T / noise_var                   # (L, m^K)
+    # the score of c = (a, b) against y, (y.Sc - |Sc|^2/2) / noise_var
+    # + log p(c), is u_a(y) + v_b(y) + cross[a, b]; the largest split whose
+    # cross term spans at most _SPLIT_RANGE nats is taken (k = 0 always is)
+    log_probs = np.log(probs)
+    for k in range(S.K // 2, -1, -1):
+        img_a, bias_a = _half_codebook(S.entries[:, :k], values, log_probs,
+                                       noise_var)
+        img_b, bias_b = _half_codebook(S.entries[:, k:], values, log_probs,
+                                       noise_var)
+        cross = img_a @ img_b.T
+        cross *= -1.0 / noise_var
+        if cross.max() - cross.min() <= _SPLIT_RANGE:
+            break
+    # fold each row maximum into bias_a, so every entry of the kernel lies
+    # in (0, 1] and a row's largest is exactly 1
+    row_top = cross.max(axis=1)
+    bias_a += row_top
+    cross -= row_top[:, None]
+    kernel = np.exp(cross, out=cross)                # (M^K_A, M^K_B)
+    weights_a = img_a.T / noise_var                  # (L, M^K_A)
+    weights_b = img_b.T / noise_var                  # (L, M^K_B)
     sigma = math.sqrt(noise_var)
     cum = np.cumsum(probs)
-    # score rows per block: a fixed budget of 2^17 doubles (1 MiB)
-    rows = max(1, 2 ** 17 // bias.size)
-    buf = np.empty((rows, bias.size))
+    # rows per block: a fixed budget of 2^17 doubles (1 MiB) per buffer
+    rows = max(1, 2 ** 17 // max(bias_a.size, bias_b.size))
+    buf_a = np.empty((rows, bias_a.size))
+    buf_b = np.empty((rows, bias_b.size))
+    buf_vk = np.empty((rows, bias_a.size))
 
     vals = np.empty(n_samples)
     pos = 0
@@ -268,13 +305,23 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
         ll_true = -0.5 * ((sigma * noise) ** 2).sum(axis=1) / noise_var
         log_mix = np.empty(b)
         for lo in range(0, b, rows):
-            score = buf[:min(rows, b - lo)]
-            np.matmul(y[lo:lo + rows], weights, out=score)
-            score += bias
-            top = score.max(axis=1)
-            score -= top[:, None]
-            np.exp(score, out=score)
-            log_mix[lo:lo + rows] = top + np.log(score.sum(axis=1))
+            y_blk = y[lo:lo + rows]
+            n = y_blk.shape[0]
+            u, v, vk = buf_a[:n], buf_b[:n], buf_vk[:n]
+            tops = 0.0
+            for score, weights, bias in ((u, weights_a, bias_a),
+                                         (v, weights_b, bias_b)):
+                np.matmul(y_blk, weights, out=score)
+                score += bias
+                top = score.max(axis=1)
+                score -= top[:, None]
+                np.exp(score, out=score)
+                tops = tops + top
+            # sum_ab u_a kernel_ab v_b, contracted over the larger half
+            # first; unsplit (K_A = 0) this is one pass over v
+            np.matmul(v, kernel.T, out=vk)
+            vk *= u
+            log_mix[lo:lo + rows] = tops + np.log(vk.sum(axis=1))
         ysq = 0.5 * (y * y).sum(axis=1) / noise_var
         vals[pos:pos + b] = (ll_true + ysq - log_mix) / S.K
         pos += b

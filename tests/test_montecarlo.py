@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from spreadmi import (EnumerationLimitError, SpreadingMatrix, binary_prior,
@@ -43,9 +45,11 @@ def replayed_mi_samples(S, prior, noise_var, n_samples, seed):
     log_prior = np.array([sum(math.log(p) for _, p in c) for c in inputs])
     log_norm = -0.5 * L * math.log(2.0 * math.pi * noise_var)
 
-    def log_gauss(y, mean):
-        return log_norm - ((y - mean) ** 2).sum(axis=-1) / (2.0 * noise_var)
+    def log_gauss(sq_dist):
+        return log_norm - sq_dist / (2.0 * noise_var)
 
+    # outputs per logsumexp call, so each call holds about 2^21 doubles
+    rows = max(1, 2 ** 21 // len(inputs))
     out = []
     for chunk_id, pos in enumerate(range(0, n_samples, 256)):
         b = min(256, n_samples - pos)
@@ -54,10 +58,24 @@ def replayed_mi_samples(S, prior, noise_var, n_samples, seed):
                                 side="right")
         x = values[np.minimum(picks, values.size - 1)]
         y = x @ S.entries.T + math.sqrt(noise_var) * rng.standard_normal((b, L))
-        log_joint = log_prior + log_gauss(y[:, None, :], images[None, :, :])
-        log_py = logsumexp(log_joint, axis=1)
-        out.append((log_gauss(y, x @ S.entries.T) - log_py) / K)
+        log_py = np.concatenate([
+            logsumexp(log_prior + log_gauss(
+                cdist(y[lo:lo + rows], images, "sqeuclidean")), axis=1)
+            for lo in range(0, b, rows)])
+        true_sq = ((y - x @ S.entries.T) ** 2).sum(axis=1)
+        out.append((log_gauss(true_sq) - log_py) / K)
     return np.concatenate(out)
+
+
+def assert_matches_replay(S, prior, noise_var, n_samples, seed, se_rel,
+                          se_abs):
+    """The estimate's mean equals the replay's at 1e-10, its standard
+    error at ``se_rel``/``se_abs``."""
+    est = exact_mutual_information(S, prior, noise_var, n_samples, seed)
+    samples = replayed_mi_samples(S, prior, noise_var, n_samples, seed)
+    assert est.value == pytest.approx(samples.mean(), rel=1e-10, abs=0.0)
+    se = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert est.std_error == pytest.approx(se, rel=se_rel, abs=se_abs)
 
 
 class TestIidGeneration:
@@ -212,19 +230,41 @@ class TestExactMutualInformation:
         with pytest.raises(ValueError, match="1000"):
             exact_mutual_information(s, binary_prior(), 0.5, 500, 0)
 
-    @pytest.mark.parametrize("K, L, prior", [
-        (10, 6, binary_prior()),
-        (6, 4, skewed_prior()),
-    ], ids=["binary-K10", "skewed-K6"])
-    def test_matches_replayed_enumeration_oracle(self, K, L, prior):
+    @pytest.mark.parametrize("K, L, prior, noise_var", [
+        (10, 6, binary_prior(), 0.5),
+        (6, 4, skewed_prior(), 0.5),
+        (12, 8, binary_prior(), 0.25),
+        (12, 8, binary_prior(), 0.02),
+        (7, 5, pam4_prior(), 0.5),
+    ], ids=["binary-K10", "skewed-K6", "binary-K12-split",
+            "binary-K12-guarded", "4pam-K7-uneven"])
+    def test_matches_replayed_enumeration_oracle(self, K, L, prior,
+                                                 noise_var):
         """Mean and standard error equal an independent replay of the
-        seeding scheme; 1,300 samples leave a partial last chunk."""
+        seeding scheme; 1,300 samples leave a partial last chunk.  At
+        K = 12 the codebook sum is split into two halves of 64 codewords
+        (sigma2 0.25); at sigma2 0.02 an even split's cross term spans
+        784 nats, so the range guard must take a smaller one (1 user
+        against 11).  4-PAM at K = 7 splits into halves of 64 and 256
+        codewords."""
         s = gen_iid_spreading(4, K, L)
-        est = exact_mutual_information(s, prior, 0.5, 1_300, 9)
-        samples = replayed_mi_samples(s, prior, 0.5, 1_300, 9)
-        assert est.value == pytest.approx(samples.mean(), rel=1e-10, abs=0.0)
-        se = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert est.std_error == pytest.approx(se, rel=1e-10, abs=0.0)
+        assert_matches_replay(s, prior, noise_var, 1_300, 9,
+                              se_rel=1e-10, se_abs=0.0)
+
+    @settings(max_examples=38, derandomize=True, deadline=None)
+    @given(K=st.integers(1, 8), L=st.integers(1, 6),
+           prior=st.sampled_from([binary_prior(), pam4_prior(),
+                                  skewed_prior()]),
+           log_noise=st.floats(-3.0, 1.0), seed=st.integers(0, 2 ** 16))
+    # the split is taken (halves of 16 codewords); the range guard falls
+    # back to K_A = 0 (every split's cross term spans over 10,000 nats)
+    @example(K=8, L=4, prior=binary_prior(), log_noise=0.0, seed=0)
+    @example(K=8, L=2, prior=binary_prior(), log_noise=-3.0, seed=0)
+    def test_property_matches_replayed_oracle(self, K, L, prior, log_noise,
+                                              seed):
+        assert_matches_replay(gen_iid_spreading(seed, K, L), prior,
+                              10.0 ** log_noise, 1_000, seed,
+                              se_rel=1e-8, se_abs=1e-15)
 
     @pytest.mark.parametrize("noise_var", [0.25, 1.0])
     @pytest.mark.parametrize("gen, K, L, prior", [
@@ -250,6 +290,18 @@ class TestExactMutualInformation:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_memory_bounded_at_enumeration_limit(self):
+        """At 2^20 codewords each half-codebook is built one user at a
+        time, so the peak is the 2^10 x 2^10 cross kernel plus blocks."""
+        s = gen_iid_spreading(0, 20, 8)
+        tracemalloc.start()
+        try:
+            exact_mutual_information(s, binary_prior(), 0.5, 1_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
     def test_estimate_within_prior_entropy(self):
         s = gen_wbe_spreading(1, 6, 4)
