@@ -9,9 +9,14 @@ simulate          finite-size exact-enumeration MI next to the asymptotic value
 transform         Hilbert/R/G tables for a spectrum
 
 Every command accepts ``--config FILE`` with ``key = value`` defaults;
-explicit flags win.  ``verify-optimality`` and ``simulate`` take
-``--seed``; the other two commands are deterministic.  Outputs are
-byte-reproducible for a fixed configuration and seed.
+its keys are exactly the command's flags (underscored), and explicit flags
+win.  ``verify-optimality`` and ``simulate`` take ``--seed``; the other
+two commands are deterministic.  Outputs are byte-reproducible for a
+fixed configuration and seed.
+
+Each ``cmd_*`` takes the merged settings and returns ``EXIT_OK`` or, for
+a non-dominated candidate, ``EXIT_COUNTEREXAMPLE``; every failure is an
+exception that ``main`` maps to ``EXIT_CONFIG`` or ``EXIT_SOLVER``.
 """
 
 from __future__ import annotations
@@ -26,54 +31,25 @@ import numpy as np
 from .channel import BINARY, DISCRETE
 from .config import (ConfigError, ebn0_db_to_sigma2, format_number, load_kv_file,
                      parse_grid, parse_prior, parse_spectrum)
-from .errors import EnumerationLimitError, NumericsError
+from .errors import NumericsError
 from .montecarlo import (IID, WBE, exact_mutual_information, gen_iid_spreading,
                          gen_wbe_spreading, write_matrix)
 from .optimality import (DOMINANCE_TOL, _mi_solution, _wbe_reference,
                          hilbert_dominance, r_dominance,
                          sample_candidate_spectrum)
 from .replica import SystemSpec, mutual_information, solve_saddle
-from .spectra import g_integral, hilbert, make_mp_law, make_wbe_law, r_transform
+from .spectra import (g_integral, hilbert, make_mp_law, make_wbe_law, r_transform,
+                      z_min)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-LN2 = math.log(2.0)
+UNIT_SCALE = {"nats": 1.0, "bits": 1.0 / math.log(2.0)}
 
-
-def _unit_scale(units: str) -> float:
-    if units == "nats":
-        return 1.0
-    if units == "bits":
-        return 1.0 / LN2
-    raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
-
-
-def _merged(args, keys):
-    """Config-file values overridden by explicit flags, as a plain dict."""
-    doc = load_kv_file(args.config) if args.config else {}
-    merged = {}
-    for key in keys:
-        flag_val = getattr(args, key.replace("-", "_"), None)
-        if flag_val is not None:
-            merged[key] = flag_val
-        elif key in doc:
-            merged[key] = doc[key]
-    return merged
-
-
-def _noise_grid(cfg) -> tuple[np.ndarray, np.ndarray | None]:
-    """(sigma2 grid, matching Eb/N0 grid or None) from a merged config."""
-    has_s2 = "sigma2_grid" in cfg
-    has_eb = "ebn0_grid" in cfg
-    if has_s2 == has_eb:
-        raise ConfigError("exactly one of sigma2_grid / ebn0_grid is required")
-    if has_s2:
-        return parse_grid(cfg["sigma2_grid"]), None
-    eb = parse_grid(cfg["ebn0_grid"])
-    return ebn0_db_to_sigma2(eb), eb
+# argparse entries of the parsed namespace that are not settings
+_NOT_SETTINGS = ("command", "func", "config")
 
 
 def _write_csv(path, header, rows):
@@ -83,127 +59,80 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-# ---------------------------------------------------------------------------
-# mi-sweep
-# ---------------------------------------------------------------------------
+def _report_rows(prefix, report):
+    """One row per grid point of a dominance report, behind ``prefix``."""
+    return [prefix + [format_number(v) for v in (g, c, r, r - c)]
+            for g, c, r in zip(report.grid, report.candidate_values,
+                               report.reference_values)]
 
 
-def cmd_mi_sweep(args) -> int:
-    cfg = _merged(args, ["prior", "spectrum", "beta", "sigma2_grid",
-                         "ebn0_grid", "units", "out"])
-    try:
-        prior = parse_prior(cfg.get("prior", "binary"))
-        beta = float(cfg["beta"]) if "beta" in cfg else None
-        specs = cfg.get("spectrum", ["mp", "wbe"])
-        if isinstance(specs, str):
-            specs = [specs]
-        spectra = tuple(parse_spectrum(s, beta) for s in specs)
-        sigma2, ebn0 = _noise_grid(cfg)
-        scale = _unit_scale(cfg.get("units", "nats"))
-        out = str(cfg.get("out", "mi_sweep.csv"))
-    except (ConfigError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_mi_sweep(cfg) -> int:
+    prior = parse_prior(cfg.get("prior", "binary"))
+    beta = cfg.get("beta")
+    spectra = [parse_spectrum(s, beta) for s in cfg.get("spectrum", ["mp", "wbe"])]
+    if ("sigma2_grid" in cfg) == ("ebn0_grid" in cfg):
+        raise ConfigError("exactly one of sigma2_grid / ebn0_grid is required")
+    ebn0 = parse_grid(cfg["ebn0_grid"]) if "ebn0_grid" in cfg else None
+    sigma2 = parse_grid(cfg["sigma2_grid"]) if ebn0 is None else ebn0_db_to_sigma2(ebn0)
+    scale = UNIT_SCALE[cfg.get("units", "nats")]
+    out = cfg.get("out", "mi_sweep.csv")
 
-    points = [(name, dist, i, s2)
-              for name, dist in spectra
-              for i, s2 in enumerate(sigma2)]
+    rows = []
+    for name, dist in spectra:
+        for i, s2 in enumerate(sigma2):
+            spec = SystemSpec(prior=prior, spectrum=dist, noise_var=float(s2))
+            try:
+                sols = solve_saddle(spec)
+            except NumericsError as exc:
+                raise NumericsError(
+                    f"solver failed at spectrum={name} sigma2={s2:g}: {exc}") from exc
+            best = sols[0]
+            eb = [ebn0[i]] if ebn0 is not None else []
+            rows.append([name] + [format_number(v) for v in (
+                *eb, s2, best.mmse, best.snr, best.mutual_information * scale,
+                best.free_energy * scale)] + [str(len(sols))])
 
-    def solve_point(point):
-        name, dist, i, s2 = point
-        try:
-            sols = solve_saddle(SystemSpec(prior=prior, spectrum=dist,
-                                           noise_var=float(s2)))
-        except NumericsError as exc:
-            raise NumericsError(
-                f"solver failed at spectrum={name} sigma2={s2:g}: {exc}") from exc
-        best = sols[0]
-        row = [name]
-        if ebn0 is not None:
-            row.append(format_number(ebn0[i]))
-        row += [format_number(s2), format_number(best.mmse),
-                format_number(best.snr),
-                format_number(best.mutual_information * scale),
-                format_number(best.free_energy * scale),
-                str(len(sols))]
-        return row
-
-    try:
-        rows = [solve_point(point) for point in points]
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    header = ["spectrum"]
-    if ebn0 is not None:
-        header.append("ebn0_db")
-    header += ["sigma2", "E", "theta", "C", "F", "n_fixed_points"]
-    _write_csv(out, header, rows)
+    eb = ["ebn0_db"] if ebn0 is not None else []
+    _write_csv(out, ["spectrum", *eb, "sigma2", "E", "theta", "C", "F",
+                     "n_fixed_points"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify-optimality
-# ---------------------------------------------------------------------------
-
-
-def cmd_verify_optimality(args) -> int:
-    cfg = _merged(args, ["prior", "beta", "sigma2_grid", "candidates",
-                         "n_atoms", "candidate", "seed", "out", "units"])
-    try:
-        prior = parse_prior(cfg.get("prior", "binary"))
-        beta = float(cfg["beta"]) if "beta" in cfg else 1.5
-        sigma2 = parse_grid(cfg.get("sigma2_grid", "0.25:1:2"))
-        n_candidates = int(cfg.get("candidates", 100))
-        n_atoms = int(cfg.get("n_atoms", 3))
-        seed = int(cfg.get("seed", 0))
-        out = str(cfg.get("out", "optimality"))
-        explicit = cfg.get("candidate") or []
-        if isinstance(explicit, str):
-            explicit = [explicit]
-        candidates = [(f"sampled-{seed + i}",
-                       sample_candidate_spectrum(seed + i, beta, n_atoms))
-                      for i in range(n_candidates)]
-        candidates += [parse_spectrum(text, beta) for text in explicit]
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_verify_optimality(cfg) -> int:
+    prior = parse_prior(cfg.get("prior", "binary"))
+    beta = cfg.get("beta", 1.5)
+    sigma2 = [float(s2) for s2 in parse_grid(cfg.get("sigma2_grid", "0.25:1:2"))]
+    n_candidates = cfg.get("candidates", 100)
+    n_atoms = cfg.get("n_atoms", 3)
+    seed = cfg.get("seed", 0)
+    scale = UNIT_SCALE[cfg.get("units", "nats")]
+    out = cfg.get("out", "optimality")
+    candidates = [(f"sampled-{seed + i}",
+                   sample_candidate_spectrum(seed + i, beta, n_atoms))
+                  for i in range(n_candidates)]
+    candidates += [parse_spectrum(text, beta) for text in cfg.get("candidate", [])]
 
     gamma_grid = -np.geomspace(1e3, 1e-3, 200)
-    wbe_mi = {float(s2): _mi_solution(prior, _wbe_reference(beta),
-                                      float(s2)).mutual_information
-              for s2 in sigma2}
-
-    def check(item):
-        name, law = item
-        rows_r, rows_h, rows_mi = [], [], []
-        ok = True
+    wbe_mi = [_mi_solution(prior, _wbe_reference(beta), s2).mutual_information
+              for s2 in sigma2]
+    rows_r, rows_h, rows_mi, failures = [], [], [], []
+    for name, law in candidates:
         h_rep = hilbert_dominance(law, gamma_grid)
-        ok &= h_rep.dominated
-        for g, c, r in zip(h_rep.grid, h_rep.candidate_values, h_rep.reference_values):
-            rows_h.append([name] + [format_number(v) for v in (g, c, r, r - c)])
-        for s2 in sigma2:
-            spec = SystemSpec(prior=prior, spectrum=law, noise_var=float(s2))
-            r_rep = r_dominance(law, spec)
-            ok &= r_rep.dominated
-            for g, c, r in zip(r_rep.grid, r_rep.candidate_values,
-                               r_rep.reference_values):
-                rows_r.append([name, format_number(s2)]
-                              + [format_number(v) for v in (g, c, r, r - c)])
-            cand_mi = _mi_solution(prior, law, float(s2)).mutual_information
-            margin = wbe_mi[float(s2)] - cand_mi
-            ok &= margin >= -DOMINANCE_TOL
-            rows_mi.append([name, format_number(s2), format_number(cand_mi),
-                            format_number(wbe_mi[float(s2)]),
-                            format_number(margin)])
-        return name, law, ok, rows_r, rows_h, rows_mi
+        ok = h_rep.dominated
+        rows_h += _report_rows([name], h_rep)
+        for s2, ref_mi in zip(sigma2, wbe_mi):
+            r_rep = r_dominance(law, SystemSpec(prior=prior, spectrum=law,
+                                                noise_var=s2))
+            rows_r += _report_rows([name, format_number(s2)], r_rep)
+            cand_mi = _mi_solution(prior, law, s2).mutual_information
+            margin = ref_mi - cand_mi
+            ok &= r_rep.dominated and margin >= -DOMINANCE_TOL
+            rows_mi.append([name, format_number(s2)] + [
+                format_number(v * scale) for v in (cand_mi, ref_mi, margin)])
+        if not ok:
+            failures.append(f"counterexample {name}: atoms={law.atoms}")
 
-    results = [check(item) for item in candidates]
-
-    rows_r = [row for _, _, _, rr, _, _ in results for row in rr]
-    rows_h = [row for _, _, _, _, rh, _ in results for row in rh]
-    rows_mi = [row for _, _, _, _, _, rm in results for row in rm]
     _write_csv(f"{out}_r_dominance.csv",
                ["candidate", "sigma2", "grid", "candidate_value",
                 "reference_value", "margin"], rows_r)
@@ -212,83 +141,48 @@ def cmd_verify_optimality(args) -> int:
                 "margin"], rows_h)
     _write_csv(f"{out}_mi.csv",
                ["candidate", "sigma2", "candidate_C", "wbe_C", "margin"], rows_mi)
-
-    failures = [(name, law) for name, law, ok, *_ in results if not ok]
-    print(f"checked {len(results)} candidates at beta={beta:g}; "
-          f"{len(results) - len(failures)} dominated")
-    if failures:
-        for name, law in failures:
-            print(f"counterexample {name}: atoms={law.atoms}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+    print(f"checked {len(candidates)} candidates at beta={beta:g}; "
+          f"{len(candidates) - len(failures)} dominated")
+    for line in failures:
+        print(line, file=sys.stderr)
+    return EXIT_COUNTEREXAMPLE if failures else EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-
-def cmd_simulate(args) -> int:
-    cfg = _merged(args, ["K", "L", "kind", "prior", "sigma2_grid", "n_samples",
-                         "seed", "units", "out", "dump_matrix_dir"])
-    try:
-        K = int(cfg["K"])
-        L = int(cfg["L"])
-        prior = parse_prior(cfg.get("prior", "binary"))
-        if prior.kind not in (BINARY, DISCRETE):
-            raise ConfigError("simulate needs a discrete input prior")
-        sigma2 = parse_grid(cfg.get("sigma2_grid", "0.5"))
-        n_samples = int(cfg.get("n_samples", 10_000))
-        seed = int(cfg.get("seed", 0))
-        units = str(cfg.get("units", "nats"))
-        scale = _unit_scale(units)
-        out = str(cfg.get("out", "simulate.csv"))
-        kinds = cfg.get("kind", [IID, WBE])
-        if isinstance(kinds, str):
-            kinds = [kinds]
-        beta = K / L
-        for kind in kinds:
-            if kind not in (IID, WBE):
-                raise ConfigError(f"kind must be iid|wbe, got {kind!r}")
-            if kind == WBE and K <= L:
-                raise ConfigError(f"wbe matrices need K > L, got K={K} L={L}")
-        matrices = {}
-        for kind in kinds:
-            gen = gen_iid_spreading if kind == IID else gen_wbe_spreading
-            matrices[kind] = gen(seed, K, L)
-        laws = {IID: make_mp_law(beta)}
-        if WBE in kinds:
-            laws[WBE] = make_wbe_law(beta)
-    except (ConfigError, ValueError, KeyError, EnumerationLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_simulate(cfg) -> int:
+    K = cfg["K"]
+    L = cfg["L"]
+    prior = parse_prior(cfg.get("prior", "binary"))
+    if prior.kind not in (BINARY, DISCRETE):
+        raise ConfigError("simulate needs a discrete input prior")
+    sigma2 = parse_grid(cfg.get("sigma2_grid", "0.5"))
+    n_samples = cfg.get("n_samples", 10_000)
+    seed = cfg.get("seed", 0)
+    scale = UNIT_SCALE[cfg.get("units", "nats")]
+    out = cfg.get("out", "simulate.csv")
+    kinds = cfg.get("kind", [IID, WBE])
+    # the WBE constructors reject K <= L
+    matrices = {kind: (gen_iid_spreading if kind == IID else gen_wbe_spreading)(
+        seed, K, L) for kind in kinds}
+    laws = {kind: (make_mp_law if kind == IID else make_wbe_law)(K / L)
+            for kind in kinds}
 
     if cfg.get("dump_matrix_dir"):
         for kind, mat in matrices.items():
             write_matrix(f"{cfg['dump_matrix_dir']}/matrix_{kind}_K{K}_L{L}.txt", mat)
 
-    points = [(kind, float(s2)) for kind in kinds for s2 in sigma2]
-
-    def run_point(point):
-        kind, s2 = point
-        asymptotic = mutual_information(
-            SystemSpec(prior=prior, spectrum=laws[kind], noise_var=s2)
-        ).mutual_information
-        est = exact_mutual_information(matrices[kind], prior, s2, n_samples, seed)
-        gap = (est.value - asymptotic) / asymptotic
-        return [str(K), str(L), kind, format_number(s2),
-                format_number(est.value * scale), format_number(est.std_error * scale),
-                str(est.n_samples), str(seed),
-                format_number(asymptotic * scale), format_number(gap)]
-
-    try:
-        rows = [run_point(point) for point in points]
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    rows = []
+    for kind in kinds:
+        for s2 in map(float, sigma2):
+            asymptotic = mutual_information(
+                SystemSpec(prior=prior, spectrum=laws[kind], noise_var=s2)
+            ).mutual_information
+            est = exact_mutual_information(matrices[kind], prior, s2, n_samples, seed)
+            gap = (est.value - asymptotic) / asymptotic
+            rows.append([str(K), str(L), kind, format_number(s2),
+                         format_number(est.value * scale),
+                         format_number(est.std_error * scale),
+                         str(est.n_samples), str(seed),
+                         format_number(asymptotic * scale), format_number(gap)])
 
     _write_csv(out, ["K", "L", "kind", "sigma2", "mi", "stderr", "n_samples",
                      "seed", "replica_C", "gap"], rows)
@@ -296,48 +190,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# transform
-# ---------------------------------------------------------------------------
+def cmd_transform(cfg) -> int:
+    name, dist = parse_spectrum(cfg.get("spectrum", "wbe"), cfg.get("beta"))
+    z_grid = parse_grid(cfg.get("z_grid", "-5:-0.001:200"))
+    # below z_min no R solves the defining relation (the MP closed form
+    # continues there, but its hilbert column would no longer reproduce z)
+    lowest = z_min(dist)
+    if np.any(z_grid >= 0.0) or np.any(z_grid <= lowest):
+        raise ConfigError(f"z grid must lie in (z_min, 0) = ({lowest:.12g}, 0) "
+                          f"for spectrum {name}")
+    out = cfg.get("out", "transform.csv")
 
-
-def cmd_transform(args) -> int:
-    cfg = _merged(args, ["spectrum", "beta", "z_grid", "out"])
-    try:
-        beta = float(cfg["beta"]) if "beta" in cfg else None
-        spec = cfg.get("spectrum", "wbe")
-        if isinstance(spec, list):
-            raise ConfigError("transform takes a single spectrum")
-        name, dist = parse_spectrum(spec, beta)
-        z_grid = parse_grid(cfg.get("z_grid", "-5:-0.001:200"))
-        if np.any(z_grid >= 0.0):
-            raise ConfigError("z grid must be strictly negative")
-        out = str(cfg.get("out", "transform.csv"))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        r_vals = r_transform(dist, z_grid)
-        rows = []
-        for z, r in zip(z_grid, r_vals):
-            gamma = r + 1.0 / z
-            c_val = hilbert(dist, gamma)
-            g_val = g_integral(dist, float(z))
-            rows.append([name] + [format_number(v)
-                                  for v in (z, r, g_val, gamma, c_val)])
-    except (NumericsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    rows = []
+    for z, r in zip(z_grid, r_transform(dist, z_grid)):
+        gamma = r + 1.0 / z
+        c_val = hilbert(dist, gamma)
+        g_val = g_integral(dist, float(z))
+        rows.append([name] + [format_number(v) for v in (z, r, g_val, gamma, c_val)])
 
     _write_csv(out, ["spectrum", "z", "R", "G", "gamma", "hilbert"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,14 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "channels and WBE-optimality checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key = value config file; flags win")
         p.add_argument("--out", help="output path (or prefix)")
-        p.add_argument("--units", choices=["nats", "bits"],
-                       help="information unit for output columns")
+        return p
 
-    p = sub.add_parser("mi-sweep", help="mutual information over a noise grid")
-    common(p)
+    units = dict(choices=list(UNIT_SCALE),
+                 help="information unit for output columns")
+
+    p = command("mi-sweep", cmd_mi_sweep, "mutual information over a noise grid")
+    p.add_argument("--units", **units)
     p.add_argument("--prior", help="gaussian | binary | discrete:[[x,p],...]")
     p.add_argument("--spectrum", action="append",
                    help="mp | wbe | discrete:[[lam,w],...] | spectrum file "
@@ -362,11 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="load K/L for inline spectra")
     p.add_argument("--sigma2-grid", help="noise grid lo:hi:n (or single value)")
     p.add_argument("--ebn0-grid", help="Eb/N0 grid in dB, lo:hi:n")
-    p.set_defaults(func=cmd_mi_sweep)
 
-    p = sub.add_parser("verify-optimality",
-                       help="dominance certificates vs the WBE law")
-    common(p)
+    p = command("verify-optimality", cmd_verify_optimality,
+                "dominance certificates vs the WBE law")
+    p.add_argument("--units", **units)
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--prior", help="prior specification (default binary)")
     p.add_argument("--beta", type=float, help="load K/L (default 1.5)")
@@ -379,38 +255,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", action="append",
                    help="explicit candidate spectrum (spec string or file; "
                         "repeatable)")
-    p.set_defaults(func=cmd_verify_optimality)
 
-    p = sub.add_parser("simulate", help="finite-size exact-enumeration MI")
-    common(p)
+    p = command("simulate", cmd_simulate, "finite-size exact-enumeration MI")
+    p.add_argument("--units", **units)
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--K", type=int, help="number of users")
     p.add_argument("--L", type=int, help="spreading factor")
-    p.add_argument("--kind", action="append", help="iid | wbe (repeatable; "
-                                                   "default both)")
+    p.add_argument("--kind", action="append", choices=[IID, WBE],
+                   help="matrix ensemble (repeatable; default both)")
     p.add_argument("--prior", help="discrete prior (default binary)")
     p.add_argument("--sigma2-grid", help="noise grid lo:hi:n")
     p.add_argument("--n-samples", type=int, help="Monte Carlo samples per point")
     p.add_argument("--dump-matrix-dir", help="directory for matrix dumps")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("transform", help="dump Hilbert/R/G tables")
-    common(p)
+    p = command("transform", cmd_transform, "dump Hilbert/R/G tables")
     p.add_argument("--spectrum", help="spectrum specification (single)")
     p.add_argument("--beta", type=float, help="load K/L for inline spectra")
-    p.add_argument("--z-grid", help="z grid lo:hi:n, strictly negative "
-                                    "(default -5:-0.001:200)")
-    p.set_defaults(func=cmd_transform)
+    p.add_argument("--z-grid", help="z grid lo:hi:n, strictly negative and "
+                                    "above z_min (default -5:-0.001:200)")
     return parser
 
 
+def _given(namespace) -> dict:
+    return {k: v for k, v in vars(namespace).items()
+            if v is not None and k not in _NOT_SETTINGS}
+
+
+def _settings(parser, args) -> dict:
+    """The command's settings: the explicit flags over the ``--config`` file.
+
+    The file's keys must be the command's flag dests, and its values are
+    parsed as those flags (a list repeats a repeatable flag), so both
+    sources pass the same types and choices.
+    """
+    flags = _given(args)
+    if not args.config:
+        return flags
+    doc = load_kv_file(args.config)
+    unknown = sorted(set(doc) - (set(vars(args)) - set(_NOT_SETTINGS)))
+    if unknown:
+        raise ConfigError(f"{args.config}: {args.command} has no setting "
+                          + ", ".join(map(repr, unknown)))
+    tokens = [f"--{key.replace('_', '-')}={item}" for key, value in doc.items()
+              for item in (value if isinstance(value, list) else [value])]
+    from_file = _given(parser.parse_args([args.command, *tokens]))
+    for key, value in doc.items():
+        if isinstance(value, list) and not isinstance(from_file.get(key, []), list):
+            raise ConfigError(f"{args.config}: {key} takes a single value")
+    return from_file | flags
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.func(_settings(parser, args))
+    except NumericsError as exc:
+        code, message = EXIT_SOLVER, str(exc)
+    except KeyError as exc:
+        code, message = EXIT_CONFIG, f"missing setting {exc}"
+    # ConfigError and the library's domain checks (SystemSpec's noise
+    # variance, the Monte Carlo sample floor, the enumeration limit) are
+    # ValueErrors; OSError is an unwritable output path
+    except (ValueError, OSError) as exc:
+        code, message = EXIT_CONFIG, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -82,17 +82,13 @@ def parse_spectrum(text: str, beta: float | None) -> tuple[str, EigenDistributio
     if text in ("mp", "wbe") or text.startswith("discrete:"):
         if beta is None:
             raise ConfigError(f"spectrum {text!r} needs --beta")
-        try:
-            if text == "mp":
-                return "mp", make_mp_law(beta)
-            if text == "wbe":
-                return "wbe", make_wbe_law(beta)
-            pairs = json.loads(text[len("discrete:"):])
-            return "discrete", make_discrete_law(pairs, beta)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad atom list in {text!r}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"invalid spectrum {text!r}: {exc}") from exc
+        kind, _, atoms = text.partition(":")
+        if kind == "discrete":
+            try:
+                atoms = json.loads(atoms)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"bad atom list in {text!r}: {exc}") from exc
+        return kind, _make_law(kind, beta, atoms, f"invalid spectrum {text!r}")
     if os.path.isfile(text):
         return _load_spectrum_file(text)
     raise ConfigError(f"unknown spectrum specification {text!r} "
@@ -103,23 +99,30 @@ def _load_spectrum_file(path) -> tuple[str, EigenDistribution]:
     doc = load_kv_file(path)
     kind = doc.get("kind")
     beta = doc.get("beta")
+    atoms = doc.get("pi_atoms")
     if kind not in ("mp", "wbe", "discrete"):
         raise ConfigError(f"{path}: field 'kind' must be mp|wbe|discrete, got {kind!r}")
     if not isinstance(beta, (int, float)):
         raise ConfigError(f"{path}: numeric field 'beta' is required")
+    if kind == "discrete" and not isinstance(atoms, list):
+        raise ConfigError(f"{path}: discrete spectrum needs 'pi_atoms = "
+                          f"[[lambda, weight], ...]'")
     name = os.path.splitext(os.path.basename(path))[0]
+    return name, _make_law(kind, float(beta), atoms, path)
+
+
+def _make_law(kind: str, beta: float, atoms, where: str) -> EigenDistribution:
+    """The ``mp``, ``wbe`` or ``discrete`` law at load ``beta``; ``atoms``
+    is the discrete law's ``[[lambda, weight], ...]``.  A rejected law
+    raises ``ConfigError`` prefixed with ``where``."""
     try:
         if kind == "mp":
-            return name, make_mp_law(float(beta))
+            return make_mp_law(beta)
         if kind == "wbe":
-            return name, make_wbe_law(float(beta))
-        atoms = doc.get("pi_atoms")
-        if not isinstance(atoms, list):
-            raise ConfigError(f"{path}: discrete spectrum needs 'pi_atoms = "
-                              f"[[lambda, weight], ...]'")
-        return name, make_discrete_law(atoms, float(beta))
+            return make_wbe_law(beta)
+        return make_discrete_law(atoms, beta)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_grid(text: str) -> np.ndarray:

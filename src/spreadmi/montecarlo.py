@@ -29,6 +29,8 @@ _CHUNK = 256
 # widest span of the fixed cross term of the split codebook sum, in nats:
 # the sum is then at least exp(-600), a normal double, with all factors <= 1
 _SPLIT_RANGE = 600.0
+# relative distance within which ks_distance snaps a sample onto an atom
+_ATOM_SNAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,18 +169,17 @@ def empirical_spectrum(S: SpreadingMatrix,
     return eigs, ks_distance(eigs, reference)
 
 
-def ks_distance(samples, dist: EigenDistribution,
-                atom_snap: float = 1e-9) -> float:
+def ks_distance(samples, dist: EigenDistribution) -> float:
     """Sup-distance between the empirical distribution of ``samples`` and
     the law's distribution function.
 
-    Sample values within ``atom_snap`` of an atom location are identified
-    with the atom before evaluation, so machine-precision eigenvalue
-    noise around point masses does not register as distance.
+    Sample values within a relative ``_ATOM_SNAP`` of an atom location are
+    identified with the atom before evaluation, so machine-precision
+    eigenvalue noise around point masses does not register as distance.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     for loc, _ in dist.atoms:
-        near = np.abs(x - loc) <= atom_snap * max(1.0, abs(loc))
+        near = np.abs(x - loc) <= _ATOM_SNAP * max(1.0, abs(loc))
         x[near] = loc
     n = x.size
     # the sup of |F_n - F| is attained at a sample value, approached from

@@ -20,6 +20,8 @@ from .replica import SaddleSolution, SystemSpec, mutual_information
 from .spectra import EigenDistribution, hilbert, make_discrete_law, make_wbe_law, r_transform
 
 DOMINANCE_TOL = 1e-9
+# points of the geometric z grid of an R-dominance report
+R_GRID_POINTS = 200
 
 
 @lru_cache(maxsize=None)
@@ -66,11 +68,10 @@ def _make_report(grid, cand, ref) -> DominanceReport:
                            dominated=min_margin >= -DOMINANCE_TOL)
 
 
-def r_dominance(candidate: EigenDistribution, spec: SystemSpec,
-                n_grid: int = 200) -> DominanceReport:
+def r_dominance(candidate: EigenDistribution, spec: SystemSpec) -> DominanceReport:
     """R-transform comparison ``R_wbe(z) - R_candidate(z)`` on the interval
     ``(-E/noise_var, 0)`` determined by the candidate system's own fixed
-    point.
+    point, on ``R_GRID_POINTS`` geometrically spaced points.
 
     ``spec`` supplies the input law and noise level; its spectrum field is
     replaced by ``candidate``.
@@ -78,7 +79,7 @@ def r_dominance(candidate: EigenDistribution, spec: SystemSpec,
     reference = _wbe_reference(candidate.beta)
     err = _mi_solution(spec.prior, candidate, spec.noise_var).mmse
     z_edge = max(err / spec.noise_var, 2e-6)
-    grid = -np.geomspace(z_edge, 1e-6, n_grid)
+    grid = -np.geomspace(z_edge, 1e-6, R_GRID_POINTS)
     return _make_report(grid, r_transform(candidate, grid),
                         r_transform(reference, grid))
 

@@ -42,6 +42,10 @@ _ORDER = 64
 _STEP_TOL = 1e-14
 _MAX_STEPS = 100
 
+# z_min probes the Hilbert transform this far below the support edge,
+# relative to max(1, |edge|)
+_EDGE_OFFSET = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class TabulatedDensity:
@@ -178,15 +182,6 @@ class EigenDistribution:
         return lo
 
     @property
-    def lambda_max(self) -> float:
-        hi = 0.0
-        if self.atoms:
-            hi = max(l for l, _ in self.atoms)
-        if self.density is not None:
-            hi = max(hi, self.density.hi)
-        return hi
-
-    @property
     def mean(self) -> float:
         m = sum(l * w for l, w in self.atoms)
         if self.density is not None:
@@ -311,7 +306,7 @@ def _hilbert_unchecked(dist, g):
     return np.sum(w / (g[..., None] - loc), axis=-1)
 
 
-def z_min(dist: EigenDistribution, edge_offset: float = 1e-9) -> float:
+def z_min(dist: EigenDistribution) -> float:
     """Lower end of the solvable R-transform domain ``(z_min, 0)``.
 
     ``z_min`` is the limit of the Hilbert transform at the support edge.
@@ -323,7 +318,7 @@ def z_min(dist: EigenDistribution, edge_offset: float = 1e-9) -> float:
         return -math.inf
     lo = dist.lambda_min
     scale = max(1.0, abs(lo))
-    return float(hilbert(dist, lo - edge_offset * scale))
+    return float(hilbert(dist, lo - _EDGE_OFFSET * scale))
 
 
 def r_transform(dist: EigenDistribution, z):

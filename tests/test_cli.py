@@ -208,6 +208,20 @@ class TestVerifyOptimality:
         header, rows = rows_of(tmp_path / "opt_mi.csv")
         assert rows == []
 
+    def test_bits_are_nats_over_ln2(self, tmp_path):
+        args = ["verify-optimality", "--beta", "1.5", "--candidates", "2",
+                "--sigma2-grid", "0.5"]
+        assert main(args + ["--out", str(tmp_path / "nats")]) == 0
+        assert main(args + ["--units", "bits", "--out", str(tmp_path / "bits")]) == 0
+        _, rn = rows_of(tmp_path / "nats_mi.csv")
+        _, rb = rows_of(tmp_path / "bits_mi.csv")
+        for a, b in zip(rn, rb):
+            for col in ("candidate_C", "wbe_C", "margin"):
+                assert float(b[col]) == pytest.approx(float(a[col]) / LN2,
+                                                      rel=1e-10, abs=1e-15)
+        assert ((tmp_path / "bits_r_dominance.csv").read_bytes()
+                == (tmp_path / "nats_r_dominance.csv").read_bytes())
+
     def test_wbe_candidate_has_zero_margins(self, tmp_path):
         out = tmp_path / "opt"
         code = main(["verify-optimality", "--beta", "1.5", "--candidates", "0",
@@ -296,6 +310,97 @@ class TestTransform:
     def test_rejects_nonnegative_grid(self, tmp_path):
         code = main(["transform", "--spectrum", "wbe", "--beta", "1.5",
                      "--z-grid", "0.5:1:3", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
+    def test_rejects_grid_below_z_min(self, tmp_path, capsys):
+        # MP at beta 0.5 has z_min ~= -4.83; its closed-form R continues
+        # below, where the hilbert column would no longer reproduce z
+        code = main(["transform", "--spectrum", "mp", "--beta", "0.5",
+                     "--z-grid=-50:-0.001:10", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "z_min" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_above_z_min_satisfies_defining_relation(self, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main(["transform", "--spectrum", "mp", "--beta", "0.5",
+                     "--z-grid=-4.5:-0.001:4", "--out", str(out)])
+        assert code == 0
+        _, rows = rows_of(out)
+        assert len(rows) == 4
+        for r in rows:
+            assert float(r["hilbert"]) == pytest.approx(float(r["z"]),
+                                                        rel=0.0, abs=1e-8)
+
+
+class TestExitCodes:
+    """Every out-of-domain input exits 2 with one ``error:`` line; exit 1
+    only ever means a counterexample."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",
+                      "--sigma2-grid", "-1"], id="mi-sweep-sigma2"),
+        pytest.param(["verify-optimality", "--candidates", "1",
+                      "--sigma2-grid", "-0.5"], id="verify-sigma2"),
+        pytest.param(["simulate", "--K", "4", "--L", "2", "--sigma2-grid", "0"],
+                     id="simulate-sigma2"),
+        pytest.param(["simulate", "--K", "4", "--L", "2", "--n-samples", "10"],
+                     id="simulate-n-samples"),
+        pytest.param(["simulate", "--L", "2"], id="simulate-missing-K"),
+    ])
+    def test_out_of_domain_input_is_config_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        code = main(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",
+                     "--sigma2-grid", "0.5",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",
+                      "--sigma2-grid", "0.5", "--seed", "1"], id="mi-sweep-seed"),
+        pytest.param(["transform", "--spectrum", "wbe", "--beta", "1.5",
+                      "--units", "bits"], id="transform-units"),
+    ])
+    def test_flag_of_no_command_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("line, key", [
+        pytest.param('sigma2grid = "0.5"', "sigma2grid", id="typo"),
+        pytest.param("seed = 1", "seed", id="other-command"),
+    ])
+    def test_config_key_of_no_flag_is_rejected(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text('spectrum = "wbe"\nbeta = 1.5\n' + line + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["mi-sweep", "--config", str(cfg), "--sigma2-grid", "0.5",
+                     "--out", str(out)])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("K = [4]\nL = 2\n", id="list-for-single-flag"),
+        pytest.param("K = 4\nL = 2\nprior = 5\n", id="number-for-prior"),
+        pytest.param('K = "four"\nL = 2\n', id="int-type"),
+        pytest.param('K = 4\nL = 2\nkind = "xyz"\n', id="kind-choice"),
+    ])
+    def test_config_value_is_parsed_as_its_flag(self, tmp_path, text):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        try:
+            code = main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        except SystemExit as exc:  # argparse rejects a bad type or choice
+            code = exc.code
         assert code == 2
 
 
