@@ -15,9 +15,9 @@ from .optimality import (DOMINANCE_TOL, DominanceReport, hilbert_dominance,
                          r_dominance, sample_candidate_spectrum, tangent_gap)
 from .replica import (SaddleSolution, SystemSpec, free_energy,
                       mutual_information, solve_saddle)
-from .spectra import (GENERIC, MP, WBE, EigenDistribution, TabulatedDensity,
-                      as_generic, g_integral, hilbert, make_discrete_law,
-                      make_mp_law, make_wbe_law, r_transform, z_min)
+from .spectra import (GENERIC, MP, WBE, EigenDistribution, as_generic,
+                      g_integral, hilbert, make_discrete_law, make_mp_law,
+                      make_wbe_law, r_transform, z_min)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "ConstraintViolation", "DominanceReport", "EigenDistribution",
     "EnumerationLimitError", "InputPrior", "MiEstimate", "NumericsError",
     "SaddleSolution", "SpreadingMatrix", "SystemSpec",
-    "TabulatedDensity",
     "as_generic", "binary_prior", "discrete_prior", "empirical_spectrum",
     "exact_mutual_information", "free_energy", "g_integral",
     "gaussian_exact_mi", "gaussian_prior", "gen_iid_spreading",

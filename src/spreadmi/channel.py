@@ -114,11 +114,23 @@ def normalized_discrete_prior(alphabet) -> InputPrior:
     return discrete_prior(zip(vals, probs))
 
 
-def _check_snr(snr: float, allow_zero: bool = False) -> float:
+def _check_snr(snr: float) -> float:
     snr = float(snr)
-    if snr < 0.0 or (snr == 0.0 and not allow_zero):
+    if snr <= 0.0:
         raise ValueError(f"inverse noise level must be positive, got {snr}")
     return snr
+
+
+def _kernel(centers: np.ndarray, probs: np.ndarray, v):
+    """Row maxima ``top`` of the log-kernel ``-(v - c_i)^2 / 2`` and the
+    stabilized kernel ``pi_i exp(-(v - c_i)^2 / 2 - top)`` of the
+    unit-noise Gaussian mixture with centers ``c_i`` and weights ``pi_i``,
+    at the points ``v``; the mixture density is
+    ``exp(top) sum_i kern_i / sqrt(2 pi)``."""
+    logk = -0.5 * (v[..., None] - centers) ** 2
+    top = logk.max(axis=-1)
+    logk -= top[..., None]
+    return top, np.exp(logk, out=logk) * probs
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +146,9 @@ def output_density(prior: InputPrior, snr: float, u):
         var = 1.0 + 1.0 / snr
         out = np.exp(-u * u / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     else:
-        diff = u[..., None] - prior._values
-        kern = np.exp(-0.5 * snr * diff * diff)
-        out = math.sqrt(snr / (2.0 * math.pi)) * (kern @ prior._probs)
+        values, probs = prior._sorted
+        top, kern = _kernel(math.sqrt(snr) * values, probs, math.sqrt(snr) * u)
+        out = math.sqrt(snr / (2.0 * math.pi)) * np.exp(top) * kern.sum(axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -146,14 +158,10 @@ def posterior_mean(prior: InputPrior, snr: float, u):
     u = np.asarray(u, dtype=float)
     if prior.kind == GAUSSIAN:
         out = u * snr / (1.0 + snr)
-    elif prior.kind == BINARY:
-        out = np.tanh(snr * u)
     else:
-        # log-domain mixture weights, stabilized by the row maximum
-        logw = np.log(prior._probs) - 0.5 * snr * (u[..., None] - prior._values) ** 2
-        logw -= logw.max(axis=-1, keepdims=True)
-        w = np.exp(logw)
-        out = (w @ prior._values) / w.sum(axis=-1)
+        values, probs = prior._sorted
+        kern = _kernel(math.sqrt(snr) * values, probs, math.sqrt(snr) * u)[1]
+        out = (kern @ values) / kern.sum(axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -191,16 +199,13 @@ def _mixture_rule(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _output_table(prior: InputPrior, snr: float):
-    """Weights ``w``, log-kernel row maxima ``top`` and the stabilized kernel
-    ``pi_i exp(-(v - c_i)^2 / 2 - top)`` on the mixture rule in the rescaled
-    output ``v = sqrt(snr) u``, where the noise has unit width; the density
-    of ``v`` is ``exp(top) sum_i kern_i / sqrt(2 pi)``."""
+    """Weights ``w`` of the mixture rule in the rescaled output
+    ``v = sqrt(snr) u``, where the noise has unit width, and ``_kernel``'s
+    ``top`` and ``kern`` at its nodes."""
     values, probs = prior._sorted
     centers = math.sqrt(snr) * values
     v, w = _mixture_rule(centers)
-    logk = -0.5 * (v[:, None] - centers) ** 2
-    top = logk.max(axis=1)
-    return w, top, np.exp(logk - top[:, None]) * probs
+    return (w, *_kernel(centers, probs, v))
 
 
 def mmse(prior: InputPrior, snr: float) -> float:
@@ -209,9 +214,9 @@ def mmse(prior: InputPrior, snr: float) -> float:
     Lies in ``[0, 1]``, is non-increasing in ``snr``, and equals 1 at
     ``snr = 0`` (no observation).
     """
-    snr = _check_snr(snr, allow_zero=True)
     if snr == 0.0:
         return 1.0
+    snr = _check_snr(snr)
     if prior.kind == GAUSSIAN:
         return 1.0 / (1.0 + snr)
     # the error is the mean posterior variance; its terms are non-negative,

@@ -34,9 +34,8 @@ from .config import (ConfigError, ebn0_db_to_sigma2, format_number, load_kv_file
 from .errors import NumericsError
 from .montecarlo import (IID, WBE, exact_mutual_information, gen_iid_spreading,
                          gen_wbe_spreading, write_matrix)
-from .optimality import (DOMINANCE_TOL, _mi_solution, _wbe_reference,
-                         hilbert_dominance, r_dominance,
-                         sample_candidate_spectrum)
+from .optimality import (DOMINANCE_TOL, hilbert_dominance, mi_solution,
+                         r_dominance, sample_candidate_spectrum, wbe_reference)
 from .replica import SystemSpec, mutual_information, solve_saddle
 from .spectra import (g_integral, hilbert, make_mp_law, make_wbe_law, r_transform,
                       z_min)
@@ -114,7 +113,7 @@ def cmd_verify_optimality(cfg) -> int:
     candidates += [parse_spectrum(text, beta) for text in cfg.get("candidate", [])]
 
     gamma_grid = -np.geomspace(1e3, 1e-3, 200)
-    wbe_mi = [_mi_solution(prior, _wbe_reference(beta), s2).mutual_information
+    wbe_mi = [mi_solution(prior, wbe_reference(beta), s2).mutual_information
               for s2 in sigma2]
     rows_r, rows_h, rows_mi, failures = [], [], [], []
     for name, law in candidates:
@@ -125,7 +124,7 @@ def cmd_verify_optimality(cfg) -> int:
             r_rep = r_dominance(law, SystemSpec(prior=prior, spectrum=law,
                                                 noise_var=s2))
             rows_r += _report_rows([name, format_number(s2)], r_rep)
-            cand_mi = _mi_solution(prior, law, s2).mutual_information
+            cand_mi = mi_solution(prior, law, s2).mutual_information
             margin = ref_mi - cand_mi
             ok &= r_rep.dominated and margin >= -DOMINANCE_TOL
             rows_mi.append([name, format_number(s2)] + [

@@ -25,17 +25,22 @@ R_GRID_POINTS = 200
 
 
 @lru_cache(maxsize=None)
-def _wbe_reference(beta: float) -> EigenDistribution:
+def wbe_reference(beta: float) -> EigenDistribution:
+    """The WBE law at load ``beta``, one shared instance per load."""
     return make_wbe_law(beta)
 
 
 @lru_cache(maxsize=4096)
-def _mi_solution(prior: InputPrior, spectrum: EigenDistribution,
-                 noise_var: float) -> SaddleSolution:
+def mi_solution(prior: InputPrior, spectrum: EigenDistribution,
+                noise_var: float) -> SaddleSolution:
     """Memoized solve; laws and priors hash by identity, so repeated checks
     against the shared WBE reference pay for one solve only."""
     return mutual_information(SystemSpec(prior=prior, spectrum=spectrum,
                                          noise_var=noise_var))
+
+
+# the benchmark reads the cache statistics under this name
+_mi_solution = mi_solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +81,8 @@ def r_dominance(candidate: EigenDistribution, spec: SystemSpec) -> DominanceRepo
     ``spec`` supplies the input law and noise level; its spectrum field is
     replaced by ``candidate``.
     """
-    reference = _wbe_reference(candidate.beta)
-    err = _mi_solution(spec.prior, candidate, spec.noise_var).mmse
+    reference = wbe_reference(candidate.beta)
+    err = mi_solution(spec.prior, candidate, spec.noise_var).mmse
     z_edge = max(err / spec.noise_var, 2e-6)
     grid = -np.geomspace(z_edge, 1e-6, R_GRID_POINTS)
     return _make_report(grid, r_transform(candidate, grid),
@@ -87,7 +92,7 @@ def r_dominance(candidate: EigenDistribution, spec: SystemSpec) -> DominanceRepo
 def hilbert_dominance(candidate: EigenDistribution, gamma_grid) -> DominanceReport:
     """Hilbert-transform comparison on a grid strictly below both supports
     (any negative grid works for overloaded laws)."""
-    reference = _wbe_reference(candidate.beta)
+    reference = wbe_reference(candidate.beta)
     grid = np.asarray(gamma_grid, dtype=float)
     return _make_report(grid, hilbert(candidate, grid), hilbert(reference, grid))
 

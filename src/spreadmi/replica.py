@@ -42,8 +42,9 @@ class SystemSpec:
     noise_var: float
 
     def __post_init__(self):
-        if not self.noise_var > 0.0:
-            raise ValueError(f"noise variance must be positive, got {self.noise_var}")
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError(f"noise variance must be positive and finite, "
+                             f"got {self.noise_var}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ GENERIC = "generic"
 
 MASS_TOL = 1e-10
 MEAN_TOL = 1e-10
-PI_TOL = 1e-8
 
 # continuous densities are tabulated on panels x order Gauss-Legendre nodes
 _PANELS = 32
@@ -41,10 +40,6 @@ _ORDER = 64
 # iterate counts as converged, and a cap that only non-finite input reaches
 _STEP_TOL = 1e-14
 _MAX_STEPS = 100
-
-# z_min probes the Hilbert transform this far below the support edge,
-# relative to max(1, |edge|)
-_EDGE_OFFSET = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,16 +123,14 @@ class EigenDistribution:
         if self.density is not None and not math.isfinite(self.density.hi):
             raise ConstraintViolation("continuous support must be bounded")
         mass = sum(w for _, w in self.atoms)
-        mean = sum(l * w for l, w in self.atoms)
         if self.density is not None:
             mass += self.density.mass
-            mean += self.density.mean
         if abs(mass - 1.0) > MASS_TOL:
             raise ConstraintViolation(
                 f"total mass {mass!r} != 1 (probability normalization)")
-        if abs(mean - 1.0) > MEAN_TOL:
-            raise ConstraintViolation(
-                f"mean eigenvalue {mean!r} != 1 (spreading-power normalization)")
+        if abs(self.mean - 1.0) > MEAN_TOL:
+            raise ConstraintViolation(f"mean eigenvalue {self.mean!r} != 1 "
+                                      f"(spreading-power normalization)")
         if self.beta > 1.0:
             # the trivial rank deficiency contributes weight 1 - 1/beta at
             # zero; the non-trivial part may add more on top
@@ -187,10 +180,6 @@ class EigenDistribution:
         if self.density is not None:
             m += self.density.mean
         return m
-
-    @property
-    def has_zero_atom(self) -> bool:
-        return any(l == 0.0 for l, _ in self.atoms)
 
     def cdf(self, x):
         """Right-continuous distribution function, vectorized in ``x``."""
@@ -244,32 +233,19 @@ def make_wbe_law(beta: float) -> EigenDistribution:
 def make_discrete_law(pi_atoms, beta: float) -> EigenDistribution:
     """Purely atomic admissible law from user-supplied non-zero spectrum.
 
-    ``pi_atoms`` is a sequence of ``(location, weight)`` pairs describing
-    the law of the non-trivial eigenvalues; the mandatory zero atom of
-    weight ``1 - 1/beta`` is prepended automatically.  The pairs must
-    satisfy the two admissibility constraints: weights summing to one
-    (probability normalization) and mean location equal to ``beta``
-    (spreading-power normalization), each to 1e-8.
+    ``pi_atoms`` is a sequence of ``(location, weight)`` pairs, the law of
+    the non-trivial eigenvalues; each enters with weight ``weight / beta``
+    next to the mandatory zero atom of weight ``1 - 1/beta``, into which
+    pairs located at zero are folded.  ``EigenDistribution`` alone judges
+    the result: the weights must sum to one and their mean location must
+    equal ``beta``, each to ``1e-10 * beta``.
     """
     if not beta > 1.0:
         raise ValueError(f"discrete admissible laws need beta > 1, got {beta}")
     pi_atoms = [(float(l), float(w)) for l, w in pi_atoms]
-    for loc, wgt in pi_atoms:
-        if loc < 0.0:
-            raise ConstraintViolation(f"pi-atom location {loc} outside [0, inf)")
-        if wgt <= 0.0:
-            raise ConstraintViolation(f"pi-atom weight {wgt} must be positive")
-    total = sum(w for _, w in pi_atoms)
-    if abs(total - 1.0) > PI_TOL:
-        raise ConstraintViolation(
-            f"pi-atom weights sum to {total!r}, not 1 (probability normalization)")
-    pi_mean = sum(l * w for l, w in pi_atoms)
-    if abs(pi_mean - beta) > PI_TOL:
-        raise ConstraintViolation(
-            f"pi mean {pi_mean!r} != beta = {beta} (spreading-power normalization)")
     zero_w = 1.0 - 1.0 / beta + sum(w / beta for l, w in pi_atoms if l == 0.0)
     merged = [(0.0, zero_w)]
-    merged += [(l, w / beta) for l, w in pi_atoms if l > 0.0]
+    merged += [(l, w / beta) for l, w in pi_atoms if l != 0.0]
     return EigenDistribution(beta=beta, atoms=tuple(merged), density=None, tag=GENERIC)
 
 
@@ -309,16 +285,15 @@ def _hilbert_unchecked(dist, g):
 def z_min(dist: EigenDistribution) -> float:
     """Lower end of the solvable R-transform domain ``(z_min, 0)``.
 
-    ``z_min`` is the limit of the Hilbert transform at the support edge.
-    Laws carrying a zero atom (every admissible law with ``beta > 1``)
-    have ``z_min = -inf``; otherwise the limit is estimated just below
-    the edge.
+    ``z_min`` is the Hilbert transform at the support infimum: ``-inf``
+    where a point mass sits there (every admissible law with
+    ``beta > 1``), and otherwise finite, the value that the quadrature
+    rule of the continuous part gives at the edge.
     """
-    if dist.has_zero_atom:
+    edge, w0, _ = dist._bracket
+    if w0 > 0.0:
         return -math.inf
-    lo = dist.lambda_min
-    scale = max(1.0, abs(lo))
-    return float(hilbert(dist, lo - _EDGE_OFFSET * scale))
+    return float(_hilbert_unchecked(dist, np.float64(edge)))
 
 
 def r_transform(dist: EigenDistribution, z):
@@ -360,13 +335,12 @@ def _invert_hilbert(dist, z):
     """
     edge, w0, d = dist._bracket
     loc, w = dist._support
-    if w0 == 0.0:
-        # no pole at the edge: C is bounded below by its edge value
-        outside = z <= _hilbert_unchecked(dist, np.float64(edge))
-        if outside.any():
-            raise NumericsError(
-                f"no bracket for R-transform inversion: z={z[outside].flat[0]!r} "
-                f"lies at or below z_min ~= {z_min(dist)!r} of this law")
+    # without a pole at the edge, C is bounded below by its edge value
+    outside = z <= z_min(dist)
+    if outside.any():
+        raise NumericsError(
+            f"no bracket for R-transform inversion: z={z[outside].flat[0]!r} "
+            f"lies at or below z_min = {z_min(dist)!r} of this law")
     e_d = (1.0 - w0) * d
     p = 1.0 - z * d
     lo = edge

@@ -21,7 +21,7 @@ from spreadmi import (SystemSpec, as_generic, binary_prior, empirical_spectrum,
                       output_entropy, r_dominance, r_transform,
                       sample_candidate_spectrum, scalar_mutual_information)
 from spreadmi.cli import main
-from spreadmi.optimality import _mi_solution, _wbe_reference
+from spreadmi.optimality import mi_solution, wbe_reference
 
 
 @contextmanager
@@ -123,8 +123,8 @@ def test_criterion_4_optimality_certificate():
         gamma_grid = -np.geomspace(1e3, 1e-3, 200)
         noise_grid = (0.25, 1.0)
         for beta in (1.2, 1.5, 2.0):
-            wbe_c = {s2: _mi_solution(prior, _wbe_reference(beta),
-                                      s2).mutual_information
+            wbe_c = {s2: mi_solution(prior, wbe_reference(beta),
+                                     s2).mutual_information
                      for s2 in noise_grid}
             for seed in range(100):
                 law = sample_candidate_spectrum(seed, beta, 2 + seed % 4)
@@ -136,7 +136,7 @@ def test_criterion_4_optimality_certificate():
                     r_rep = r_dominance(law, spec)
                     assert r_rep.min_margin >= -1e-9, (
                         f"R dominance fails: beta={beta} seed={seed} s2={s2}")
-                    cand_c = _mi_solution(prior, law, s2).mutual_information
+                    cand_c = mi_solution(prior, law, s2).mutual_information
                     assert wbe_c[s2] - cand_c >= -1e-9, (
                         f"MI dominance fails: beta={beta} seed={seed} s2={s2}")
 

@@ -297,6 +297,23 @@ class TestInformationIdentities:
         assert scalar_mutual_information(gaussian_prior(), 1.0) == pytest.approx(
             0.5 * math.log(2.0), abs=1e-14)
 
+    @pytest.mark.parametrize("snr", [0.5, 4.0])
+    @pytest.mark.parametrize("prior", [binary_prior(), pam4_prior(),
+                                       skewed_prior()],
+                             ids=["binary", "4pam", "skewed"])
+    def test_mmse_is_one_minus_mean_squared_estimate(self, prior, snr):
+        """``mmse = 1 - int p(u) E[x|u]^2 du`` ties ``mmse`` (on its fixed
+        rule) to ``output_density`` and ``posterior_mean`` (pointwise)."""
+        values = [x for x, _ in prior.alphabet]
+        reach = 15.0 / math.sqrt(snr)
+        second, _ = integrate.quad(
+            lambda u: output_density(prior, snr, u)
+            * posterior_mean(prior, snr, u) ** 2,
+            min(values) - reach, max(values) + reach, points=values,
+            epsabs=1e-15, epsrel=1e-13, limit=500)
+        assert mmse(prior, snr) == pytest.approx(1.0 - second, rel=1e-10,
+                                                 abs=0.0)
+
     @pytest.mark.parametrize("prior, snr, tol", [
         pytest.param(binary_prior(), 50.0, dict(abs=1e-6), id="binary"),
         # components at least 54 noise widths apart: I = H(X) to double

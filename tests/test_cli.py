@@ -321,6 +321,22 @@ class TestTransform:
         assert "z_min" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_grid_just_above_closed_form_z_min(self, tmp_path):
+        # MP at beta 0.9: z_min = -1/(sqrt(beta) (1 - sqrt(beta))) = -20.5409
+        code = main(["transform", "--spectrum", "mp", "--beta", "0.9",
+                     "--z-grid=-20.535:-20.53:2", "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+
+    def test_grid_below_closed_form_z_min_names_it(self, tmp_path, capsys):
+        root = math.sqrt(0.9)
+        closed = -1.0 / (root * (1.0 - root))
+        code = main(["transform", "--spectrum", "mp", "--beta", "0.9",
+                     "--z-grid=-20.545:-20.541:2", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        named = float(err.split("(z_min, 0) = (")[1].split(",")[0])
+        assert named == pytest.approx(closed, rel=1e-10, abs=0.0)
+
     def test_grid_above_z_min_satisfies_defining_relation(self, tmp_path):
         out = tmp_path / "t.csv"
         code = main(["transform", "--spectrum", "mp", "--beta", "0.5",
@@ -354,6 +370,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5"],
+                     id="mi-sweep"),
+        pytest.param(["simulate", "--K", "4", "--L", "2"], id="simulate"),
+    ])
+    def test_infinite_noise_variance_is_named(self, tmp_path, capsys, argv):
+        code = main(argv + ["--sigma2-grid", "inf", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "noise variance" in capsys.readouterr().err
+
+    def test_nan_candidate_atom_is_config_error(self, tmp_path, capsys):
+        # the atom's weight lies within the mass tolerance; its location
+        # does not lie in [0, inf)
+        code = main(["verify-optimality", "--beta", "2", "--candidates", "0",
+                     "--candidate", "discrete:[[NaN,1e-12],[2,1]]",
+                     "--sigma2-grid", "0.5", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "nan" in capsys.readouterr().err
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         code = main(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",

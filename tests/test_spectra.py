@@ -179,6 +179,12 @@ class TestDiscreteLaw:
         with pytest.raises(ConstraintViolation):
             make_discrete_law([(-0.5, 0.5), (3.5, 0.5)], beta=1.5)
 
+    def test_nan_location_rejected(self):
+        # its weight lies within the mass tolerance, so only the location
+        # check can catch it
+        with pytest.raises(ConstraintViolation, match="nan"):
+            make_discrete_law([(math.nan, 1e-12), (1.5, 1.0)], 1.5)
+
 
 class TestHilbert:
     def test_single_atom(self):
@@ -283,7 +289,7 @@ class TestRTransform:
     def test_positive_on_domain(self):
         z = -np.geomspace(5.0, 1e-3, 50)
         for law in (make_mp_law(0.5), make_mp_law(1.5), make_wbe_law(2.0)):
-            usable = z if law.has_zero_atom else z[z > z_min(law)]
+            usable = z[z > z_min(law)]
             assert np.all(r_transform(law, usable) > 0.0)
 
 
@@ -293,6 +299,17 @@ class TestZMinBoundary:
     def test_zero_atom_laws_are_unbounded(self):
         assert z_min(make_mp_law(1.5)) == -math.inf
         assert z_min(make_wbe_law(2.0)) == -math.inf
+
+    def test_atom_on_the_edge_is_unbounded(self):
+        # C(gamma) = 1/(gamma - 1) has a pole at the support edge
+        assert z_min(single_atom_law(1.0)) == -math.inf
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.9])
+    def test_underloaded_mp_edge_value(self, beta):
+        # C at a = (1 - sqrt(beta))^2 is -1/(sqrt(beta) (1 - sqrt(beta)))
+        root = math.sqrt(beta)
+        assert z_min(make_mp_law(beta)) == pytest.approx(
+            -1.0 / (root * (1.0 - root)), rel=1e-10, abs=0.0)
 
     def test_underloaded_mp_matches_closed_form_inside(self):
         law = make_mp_law(0.5)
