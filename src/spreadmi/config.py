@@ -153,8 +153,3 @@ def ebn0_db_to_sigma2(ebn0_db) -> np.ndarray:
     Eb/N0 in dB: ``sigma2 = 1 / (2 * 10^(EbN0/10))``."""
     ebn0_db = np.asarray(ebn0_db, dtype=float)
     return 1.0 / (2.0 * 10.0 ** (ebn0_db / 10.0))
-
-
-def format_number(x) -> str:
-    """Decimal rendering with 12 significant digits (CSV convention)."""
-    return format(float(x), ".12g")

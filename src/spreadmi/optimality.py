@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import InputPrior
 from .replica import SaddleSolution, SystemSpec, mutual_information
 from .spectra import EigenDistribution, hilbert, make_discrete_law, make_wbe_law, r_transform
 
@@ -31,12 +30,11 @@ def wbe_reference(beta: float) -> EigenDistribution:
 
 
 @lru_cache(maxsize=4096)
-def mi_solution(prior: InputPrior, spectrum: EigenDistribution,
-                noise_var: float) -> SaddleSolution:
-    """Memoized solve; laws and priors hash by identity, so repeated checks
-    against the shared WBE reference pay for one solve only."""
-    return mutual_information(SystemSpec(prior=prior, spectrum=spectrum,
-                                         noise_var=noise_var))
+def mi_solution(spec: SystemSpec) -> SaddleSolution:
+    """Memoized solve; specs hash by their noise level and the identities
+    of their prior and law, so repeated checks against the shared WBE
+    reference pay for one solve only."""
+    return mutual_information(spec)
 
 
 # the benchmark reads the cache statistics under this name
@@ -55,46 +53,39 @@ class DominanceReport:
     grid: np.ndarray
     candidate_values: np.ndarray
     reference_values: np.ndarray
-    min_margin: float
-    dominated: bool
 
     @property
     def margins(self) -> np.ndarray:
         return self.reference_values - self.candidate_values
 
+    @property
+    def min_margin(self) -> float:
+        return float(np.min(self.margins))
 
-def _make_report(grid, cand, ref) -> DominanceReport:
-    grid = np.asarray(grid, dtype=float)
-    cand = np.asarray(cand, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    min_margin = float(np.min(ref - cand))
-    return DominanceReport(grid=grid, candidate_values=cand, reference_values=ref,
-                           min_margin=min_margin,
-                           dominated=min_margin >= -DOMINANCE_TOL)
+    @property
+    def dominated(self) -> bool:
+        return self.min_margin >= -DOMINANCE_TOL
 
 
-def r_dominance(candidate: EigenDistribution, spec: SystemSpec) -> DominanceReport:
-    """R-transform comparison ``R_wbe(z) - R_candidate(z)`` on the interval
-    ``(-E/noise_var, 0)`` determined by the candidate system's own fixed
-    point, on ``R_GRID_POINTS`` geometrically spaced points.
-
-    ``spec`` supplies the input law and noise level; its spectrum field is
-    replaced by ``candidate``.
-    """
-    reference = wbe_reference(candidate.beta)
-    err = mi_solution(spec.prior, candidate, spec.noise_var).mmse
+def r_dominance(spec: SystemSpec) -> DominanceReport:
+    """R-transform comparison ``R_wbe(z) - R_candidate(z)`` for the
+    candidate law ``spec.spectrum`` on the interval ``(-E/noise_var, 0)``
+    determined by the system's own fixed point, on ``R_GRID_POINTS``
+    geometrically spaced points."""
+    candidate = spec.spectrum
+    err = mi_solution(spec).mmse
     z_edge = max(err / spec.noise_var, 2e-6)
     grid = -np.geomspace(z_edge, 1e-6, R_GRID_POINTS)
-    return _make_report(grid, r_transform(candidate, grid),
-                        r_transform(reference, grid))
+    return DominanceReport(grid, r_transform(candidate, grid),
+                           r_transform(wbe_reference(candidate.beta), grid))
 
 
 def hilbert_dominance(candidate: EigenDistribution, gamma_grid) -> DominanceReport:
     """Hilbert-transform comparison on a grid strictly below both supports
     (any negative grid works for overloaded laws)."""
-    reference = wbe_reference(candidate.beta)
     grid = np.asarray(gamma_grid, dtype=float)
-    return _make_report(grid, hilbert(candidate, grid), hilbert(reference, grid))
+    return DominanceReport(grid, hilbert(candidate, grid),
+                           hilbert(wbe_reference(candidate.beta), grid))
 
 
 def tangent_gap(gamma: float, beta: float, lam):

@@ -33,9 +33,10 @@ from .spectra import EigenDistribution, g_integral, r_transform
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SystemSpec:
-    """A large-system instance: input law, eigenvalue law, AWGN variance."""
+    """A large-system instance: input law, eigenvalue law, AWGN variance;
+    equal and hashed by its fields, the prior and the law by identity."""
 
     prior: InputPrior
     spectrum: EigenDistribution
@@ -64,9 +65,12 @@ class SaddleSolution:
     mutual_information: float
 
 
-def _snr_update(spec: SystemSpec, snr: float) -> float:
-    err = mmse(spec.prior, snr)
+def _snr_of(spec: SystemSpec, err: float) -> float:
     return r_transform(spec.spectrum, -err / spec.noise_var) / spec.noise_var
+
+
+def _snr_update(spec: SystemSpec, snr: float) -> float:
+    return _snr_of(spec, mmse(spec.prior, snr))
 
 
 _SCAN_POINTS = 16
@@ -186,7 +190,9 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     approach zero without crossing it, and each upward crossing (the
     roots that damped iteration converges to) is solved with Brent's
     method.  ``iterations`` is Brent's iteration count and ``residual``
-    the defect at the root.
+    the defect at the root.  A root whose mutual information is not
+    positive, which no finite noise variance admits, raises
+    ``NumericsError``.
     """
     def defect(s):
         return s - _snr_update(spec, s)
@@ -215,8 +221,14 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
             root, steps = _brentq(defect, a, b)
         err = mmse(spec.prior, root)
         info = _information_at(spec, err, root)
+        if not info > 0.0:
+            raise NumericsError(
+                f"mutual information {info!r} at noise variance "
+                f"{spec.noise_var:g} is not positive; the sum of its terms "
+                "has lost every digit to cancellation")
         solutions.append(SaddleSolution(
-            mmse=err, snr=root, iterations=steps, residual=abs(defect(root)),
+            mmse=err, snr=root, iterations=steps,
+            residual=abs(root - _snr_of(spec, err)),
             free_energy=info + _offset(spec), mutual_information=info))
     solutions.sort(key=lambda s: s.free_energy)
     if len(solutions) > 1:

@@ -6,7 +6,8 @@ mass and unit mean (the power constraint on unit-norm spreading
 sequences).  The module evaluates three objects for such a law:
 
 * the real-axis Hilbert transform ``C(gamma) = int rho(lam)/(gamma-lam)``
-  for ``gamma`` strictly below the support,
+  for ``gamma`` strictly below the support, in closed form for the
+  Marchenko-Pastur law,
 * the R-transform ``R(z)``, defined through ``C(R(z) + 1/z) = z``, with
   closed forms for the Marchenko-Pastur and Welch-bound-equality laws and
   a safeguarded Newton inversion inside an analytic bracket for everything
@@ -266,7 +267,9 @@ def hilbert(dist: EigenDistribution, gamma):
 
     Defined for ``gamma`` strictly below the support infimum; the value is
     negative and strictly decreasing in ``gamma`` there.  Accepts scalar
-    or array ``gamma``.
+    or array ``gamma``.  Laws tagged ``MP`` use the closed form, the root
+    of ``beta g C^2 - (g + beta - 1) C + 1 = 0`` that behaves like ``1/g``;
+    every other law sums over its support.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g >= dist.lambda_min):
@@ -278,6 +281,15 @@ def hilbert(dist: EigenDistribution, gamma):
 
 
 def _hilbert_unchecked(dist, g):
+    if dist.tag == MP:
+        # with p = g + beta - 1 < 0 the root is 2/(p - s), otherwise
+        # (p + s)/(2 beta g): both forms add terms of one sign
+        beta = dist.beta
+        a, b = _mp_edges(beta)
+        p = g + beta - 1.0
+        s = np.sqrt(a - g) * np.sqrt(b - g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p < 0.0, 2.0 / (p - s), (p + s) / (2.0 * beta * g))
     loc, w = dist._support
     return np.sum(w / (g[..., None] - loc), axis=-1)
 
@@ -288,8 +300,12 @@ def z_min(dist: EigenDistribution) -> float:
     ``z_min`` is the Hilbert transform at the support infimum: ``-inf``
     where a point mass sits there (every admissible law with
     ``beta > 1``), and otherwise finite, the value that the quadrature
-    rule of the continuous part gives at the edge.
+    rule of the continuous part gives at the edge.  Laws tagged ``MP`` use
+    ``-1/(sqrt(beta) (1 - sqrt(beta)))`` below ``beta = 1``, else ``-inf``.
     """
+    if dist.tag == MP:
+        root = math.sqrt(dist.beta)
+        return -1.0 / (root * (1.0 - root)) if root < 1.0 else -math.inf
     edge, w0, _ = dist._bracket
     if w0 > 0.0:
         return -math.inf

@@ -123,8 +123,8 @@ def test_criterion_4_optimality_certificate():
         gamma_grid = -np.geomspace(1e3, 1e-3, 200)
         noise_grid = (0.25, 1.0)
         for beta in (1.2, 1.5, 2.0):
-            wbe_c = {s2: mi_solution(prior, wbe_reference(beta),
-                                     s2).mutual_information
+            wbe_c = {s2: mi_solution(SystemSpec(prior, wbe_reference(beta),
+                                                s2)).mutual_information
                      for s2 in noise_grid}
             for seed in range(100):
                 law = sample_candidate_spectrum(seed, beta, 2 + seed % 4)
@@ -133,10 +133,10 @@ def test_criterion_4_optimality_certificate():
                     f"Hilbert dominance fails: beta={beta} seed={seed}")
                 for s2 in noise_grid:
                     spec = SystemSpec(prior=prior, spectrum=law, noise_var=s2)
-                    r_rep = r_dominance(law, spec)
+                    r_rep = r_dominance(spec)
                     assert r_rep.min_margin >= -1e-9, (
                         f"R dominance fails: beta={beta} seed={seed} s2={s2}")
-                    cand_c = mi_solution(prior, law, s2).mutual_information
+                    cand_c = mi_solution(spec).mutual_information
                     assert wbe_c[s2] - cand_c >= -1e-9, (
                         f"MI dominance fails: beta={beta} seed={seed} s2={s2}")
 

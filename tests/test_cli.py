@@ -348,6 +348,24 @@ class TestTransform:
             assert float(r["hilbert"]) == pytest.approx(float(r["z"]),
                                                         rel=0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("beta, grid", [
+        pytest.param("0.9", "-20.54:-20:50", id="beta0.9-edge"),
+        pytest.param("1", "-1e5:-1:50", id="beta1-unbounded"),
+    ])
+    def test_mp_near_its_edge_satisfies_defining_relation(self, tmp_path, beta,
+                                                          grid):
+        # the closed-form hilbert column stays exact as gamma nears the
+        # support edge, where a quadrature of the density would drift
+        out = tmp_path / "t.csv"
+        code = main(["transform", "--spectrum", "mp", "--beta", beta,
+                     f"--z-grid={grid}", "--out", str(out)])
+        assert code == 0
+        _, rows = rows_of(out)
+        assert len(rows) == 50
+        for r in rows:
+            assert float(r["hilbert"]) == pytest.approx(float(r["z"]),
+                                                        rel=1e-8, abs=0.0)
+
 
 class TestExitCodes:
     """Every out-of-domain input exits 2 with one ``error:`` line; exit 1
@@ -380,6 +398,29 @@ class TestExitCodes:
         code = main(argv + ["--sigma2-grid", "inf", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "noise variance" in capsys.readouterr().err
+
+    def test_continuous_prior_in_simulate_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--K", "4", "--L", "2", "--prior", "gaussian",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "discrete input prior" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5"],
+                     id="mi-sweep"),
+        pytest.param(["simulate", "--K", "3", "--L", "2", "--kind", "wbe",
+                      "--n-samples", "1000"], id="simulate"),
+    ])
+    def test_nonpositive_information_is_solver_error(self, tmp_path, capsys,
+                                                     argv):
+        # at sigma2 1e15 the terms of C cancel to 0: exit 3, not a zero C
+        # in the CSV or a division by it in simulate's gap column
+        out = tmp_path / "x.csv"
+        code = main(argv + ["--sigma2-grid", "1e15", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1e+15" in err
+        assert not out.exists()
 
     def test_nan_candidate_atom_is_config_error(self, tmp_path, capsys):
         # the atom's weight lies within the mass tolerance; its location

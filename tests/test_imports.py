@@ -1,9 +1,13 @@
 """Package hygiene: modules reach each other through public names only."""
 
 import ast
+import importlib
 import pathlib
 
+import pytest
+
 import spreadmi
+import spreadmi.optimality
 
 PACKAGE = pathlib.Path(spreadmi.__file__).parent
 
@@ -22,3 +26,27 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     found = {path.name: hits for path in sorted(PACKAGE.glob("*.py"))
              if (hits := private_imports(path))}
     assert found == {}
+
+
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_targets():
+    """``(module, attribute)`` of each entry of the benchmark tracer's
+    ``TARGETS``, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in value.elts]
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no benchmark tree next to src/")
+def test_benchmark_tracer_targets_resolve():
+    """The benchmark wraps these module attributes and reads the solve
+    cache's statistics; a rename would break its traced runs."""
+    targets = tracer_targets()
+    assert targets
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+    assert callable(spreadmi.optimality._mi_solution.cache_info)

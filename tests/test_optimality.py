@@ -49,7 +49,7 @@ class TestTangentGap:
 class TestRDominance:
     def test_mp_candidate_dominated(self):
         mp = make_mp_law(1.5)
-        report = r_dominance(mp, binary_spec(mp))
+        report = r_dominance(binary_spec(mp))
         assert report.dominated
         assert report.min_margin >= 0.0
         # closed-form margin at z = -1: 0.5 - 0.4
@@ -58,20 +58,20 @@ class TestRDominance:
 
     def test_wbe_self_comparison_is_flat(self):
         wbe = make_wbe_law(1.5)
-        report = r_dominance(wbe, binary_spec(wbe))
+        report = r_dominance(binary_spec(wbe))
         assert report.dominated
         np.testing.assert_allclose(report.margins, 0.0, atol=1e-12)
 
     def test_discrete_candidate(self):
         law = make_discrete_law([(0.5, 0.5), (2.5, 0.5)], 1.5)
-        report = r_dominance(law, binary_spec(law))
+        report = r_dominance(binary_spec(law))
         assert report.dominated and report.min_margin > 0.0
 
     def test_grid_lies_in_solved_interval(self):
         law = make_mp_law(1.5)
         spec = binary_spec(law, noise_var=0.25)
         sol = mutual_information(spec)
-        report = r_dominance(law, spec)
+        report = r_dominance(spec)
         assert report.grid.size == 200
         assert report.grid.min() >= -sol.mmse / 0.25 - 1e-12
         assert report.grid.max() < 0.0

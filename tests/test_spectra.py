@@ -200,6 +200,16 @@ class TestHilbert:
             oracle = (1 / 3) / gamma + mp_quad(lambda x: 1 / (gamma - x), 1.5)
             assert hilbert(law, gamma) == pytest.approx(oracle, abs=1e-11)
 
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.9, 1.0, 1.5, 4.0])
+    def test_mp_closed_form_matches_support_sum(self, beta):
+        # from 1e-2 to 1e12 below the edge; a root form that cancels
+        # loses about 4 digits at the far end
+        law = make_mp_law(beta)
+        gamma = law.lambda_min - np.geomspace(1e-2, 1e12, 60)
+        np.testing.assert_allclose(hilbert(law, gamma),
+                                   hilbert(as_generic(law), gamma),
+                                   rtol=1e-14, atol=0.0)
+
     def test_rejects_gamma_in_or_above_support(self):
         law = make_wbe_law(1.5)
         for gamma in (0.0, 0.7, 1.5, 3.0):
@@ -300,6 +310,10 @@ class TestZMinBoundary:
         assert z_min(make_mp_law(1.5)) == -math.inf
         assert z_min(make_wbe_law(2.0)) == -math.inf
 
+    def test_mp_at_unit_load_is_unbounded(self):
+        # the density behaves like lam^(-1/2) at its edge 0, so C(0) = -inf
+        assert z_min(make_mp_law(1.0)) == -math.inf
+
     def test_atom_on_the_edge_is_unbounded(self):
         # C(gamma) = 1/(gamma - 1) has a pole at the support edge
         assert z_min(single_atom_law(1.0)) == -math.inf
@@ -308,8 +322,10 @@ class TestZMinBoundary:
     def test_underloaded_mp_edge_value(self, beta):
         # C at a = (1 - sqrt(beta))^2 is -1/(sqrt(beta) (1 - sqrt(beta)))
         root = math.sqrt(beta)
-        assert z_min(make_mp_law(beta)) == pytest.approx(
-            -1.0 / (root * (1.0 - root)), rel=1e-10, abs=0.0)
+        # the closed form, and the support sum of the tabulated density
+        for law in (make_mp_law(beta), as_generic(make_mp_law(beta))):
+            assert z_min(law) == pytest.approx(
+                -1.0 / (root * (1.0 - root)), rel=1e-10, abs=0.0)
 
     def test_underloaded_mp_matches_closed_form_inside(self):
         law = make_mp_law(0.5)
