@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,11 @@ COLUMN_NORM_TOL = 1e-10
 GRAM_TOL = 1e-9
 ENUMERATION_LIMIT = 2 ** 20
 _CHUNK = 256
+# doubles per row-block buffer of the codebook sum (1 MiB)
+_BLOCK = 2 ** 17
+# doubles of kernels and per-sample values the levels of one pass hold
+# together (8 MiB); a level that does not fit alone gets a pass of its own
+_PASS_DOUBLES = 2 ** 20
 # widest span of the fixed cross term of the split codebook sum, in nats:
 # the sum is then at least exp(-600), a normal double, with all factors <= 1
 _SPLIT_RANGE = 600.0
@@ -81,10 +87,11 @@ class SpreadingMatrix:
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """Monte Carlo mutual-information estimate in nats per user."""
+    """Monte Carlo mutual-information estimate in nats per user; arrays of
+    the noise levels' shape when estimated at several levels."""
 
-    value: float
-    std_error: float
+    value: float | np.ndarray
+    std_error: float | np.ndarray
     n_samples: int
 
 
@@ -229,41 +236,34 @@ def _half_codebook(cols: np.ndarray, values: np.ndarray,
     return images, log_prior - 0.5 * (images * images).sum(axis=1) / noise_var
 
 
-def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
-                             noise_var: float, n_samples: int,
-                             seed: int) -> MiEstimate:
-    """Monte Carlo estimate of the per-user mutual information with the
-    output law evaluated exactly by summing over all input vectors.
+class _Split(NamedTuple):
+    """The codebook sum at one noise level, split between the first
+    ``K_A`` users and the rest: the weights ``(L, M^k)`` and score biases
+    of both halves and the kernel ``exp(M - max_b M)``."""
 
-    Restricted to discrete priors with ``M^K`` at most ``2**20``; Gaussian
-    inputs have the closed form :func:`gaussian_exact_mi`.  Sampling uses
-    a fixed-size per-chunk seeding scheme and a sorted pairwise-summation
-    reduction, so results are reproducible for a given seed regardless of
-    evaluation order.  The sum over input vectors ``c = (a, b)`` is split
-    between the first ``K_A`` users and the rest, as
-    ``exp(u(y)) @ exp(M) @ exp(v(y))`` with the cross term ``M`` fixed per
-    call; ``K_A = 0`` is the unsplit sum.  Memory is
-    ``O((M^K_A + M^K_B) L + M^K)`` plus one row block of about ``2**17``
-    doubles per half.
-    """
-    if prior.kind not in (BINARY, DISCRETE):
-        raise ValueError("exact enumeration needs a discrete input prior")
-    if not noise_var > 0.0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
-    if n_samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    values = prior._values
-    probs = prior._probs
-    m = values.size
-    if m ** S.K > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"alphabet^users = {m}^{S.K} exceeds the enumeration limit "
-            f"{ENUMERATION_LIMIT}")
+    weights_a: np.ndarray
+    bias_a: np.ndarray
+    weights_b: np.ndarray
+    bias_b: np.ndarray
+    kernel: np.ndarray
 
+    @property
+    def rows(self) -> int:
+        """Outputs per block: a fixed budget of ``_BLOCK`` doubles per
+        buffer, and never more than one chunk."""
+        return min(_CHUNK, max(1, _BLOCK // self.width))
+
+    @property
+    def width(self) -> int:
+        return max(self.bias_a.size, self.bias_b.size)
+
+
+def _split_sum(S: SpreadingMatrix, values: np.ndarray,
+               log_probs: np.ndarray, noise_var: float) -> _Split:
+    """The split codebook sum at ``noise_var``."""
     # the score of c = (a, b) against y, (y.Sc - |Sc|^2/2) / noise_var
     # + log p(c), is u_a(y) + v_b(y) + cross[a, b]; the largest split whose
     # cross term spans at most _SPLIT_RANGE nats is taken (k = 0 always is)
-    log_probs = np.log(probs)
     for k in range(S.K // 2, -1, -1):
         img_a, bias_a = _half_codebook(S.entries[:, :k], values, log_probs,
                                        noise_var)
@@ -279,59 +279,125 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     bias_a += row_top
     cross -= row_top[:, None]
     kernel = np.exp(cross, out=cross)                # (M^K_A, M^K_B)
-    weights_a = img_a.T / noise_var                  # (L, M^K_A)
-    weights_b = img_b.T / noise_var                  # (L, M^K_B)
-    sigma = math.sqrt(noise_var)
-    cum = np.cumsum(probs)
-    # rows per block: a fixed budget of 2^17 doubles (1 MiB) per buffer
-    rows = max(1, 2 ** 17 // max(bias_a.size, bias_b.size))
-    buf_a = np.empty((rows, bias_a.size))
-    buf_b = np.empty((rows, bias_b.size))
-    buf_vk = np.empty((rows, bias_a.size))
+    return _Split(img_a.T / noise_var, bias_a, img_b.T / noise_var, bias_b,
+                  kernel)
 
-    vals = np.empty(n_samples)
-    pos = 0
-    chunk_id = 0
-    while pos < n_samples:
+
+def _log_mixture(y: np.ndarray, split: _Split,
+                 work: np.ndarray) -> np.ndarray:
+    """``log sum_c exp(score_c(y))`` per row of ``y`` at one noise level,
+    in row blocks scored in the three buffers ``work``."""
+    weights_a, bias_a, weights_b, bias_b, kernel = split
+    rows = split.rows
+    log_mix = np.empty(y.shape[0])
+    for lo in range(0, y.shape[0], rows):
+        y_blk = y[lo:lo + rows]
+        n = y_blk.shape[0]
+        u = work[0, :n * bias_a.size].reshape(n, -1)
+        v = work[1, :n * bias_b.size].reshape(n, -1)
+        vk = work[2, :n * bias_a.size].reshape(n, -1)
+        tops = 0.0
+        for score, weights, bias in ((u, weights_a, bias_a),
+                                     (v, weights_b, bias_b)):
+            np.matmul(y_blk, weights, out=score)
+            score += bias
+            top = score.max(axis=1)
+            score -= top[:, None]
+            np.exp(score, out=score)
+            tops = tops + top
+        # sum_ab u_a kernel_ab v_b, contracted over the larger half first;
+        # unsplit (K_A = 0) this is one pass over v
+        np.matmul(v, kernel.T, out=vk)
+        vk *= u
+        log_mix[lo:lo + rows] = tops + np.log(vk.sum(axis=1))
+    return log_mix
+
+
+def _pass_estimates(S: SpreadingMatrix, prior: InputPrior,
+                    levels: np.ndarray, n_samples: int,
+                    seed: int) -> list[tuple[float, float]]:
+    """Mean and standard error of ``(log p(y|x) - log p(y)) / K`` at each of
+    ``levels``, every level scored on the same draws."""
+    values = prior._values
+    log_probs = np.log(prior._probs)
+    splits = [_split_sum(S, values, log_probs, level) for level in levels]
+    work = np.empty((3, max(sp.rows * sp.width for sp in splits)))
+    # an input's index is the number of the first M - 1 cumulative
+    # probabilities at or below its uniform draw
+    cum = np.cumsum(prior._probs)[:-1]
+    vals = np.empty((levels.size, n_samples))
+    for chunk_id, pos in enumerate(range(0, n_samples, _CHUNK)):
         b = min(_CHUNK, n_samples - pos)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_id)))
-        picks = np.searchsorted(cum, rng.random((b, S.K)), side="right")
-        picks = np.clip(picks, 0, m - 1)
-        x = values[picks]
+        x = values[np.searchsorted(cum, rng.random((b, S.K)), side="right")]
         noise = rng.standard_normal((b, S.L))
-        y = x @ S.entries.T + sigma * noise
+        signal = x @ S.entries.T
+        for out, noise_var, split in zip(vals, levels, splits):
+            sigma = math.sqrt(noise_var)
+            y = signal + sigma * noise
+            # log p(y | x) - log p(y) with the common -|y|^2/(2 s2) and
+            # Gaussian normalization cancelling
+            ll_true = -0.5 * ((sigma * noise) ** 2).sum(axis=1) / noise_var
+            ysq = 0.5 * (y * y).sum(axis=1) / noise_var
+            out[pos:pos + b] = (ll_true + ysq - _log_mixture(y, split, work)
+                                ) / S.K
+    estimates = []
+    for row in vals:
+        mean = float(np.sum(np.sort(row))) / n_samples
+        var = float(np.sum(np.sort((row - mean) ** 2))) / (n_samples - 1)
+        estimates.append((mean, math.sqrt(var / n_samples)))
+    return estimates
 
-        # log p(y | x) - log p(y) with the common -|y|^2/(2 s2) and
-        # Gaussian normalization cancelling
-        ll_true = -0.5 * ((sigma * noise) ** 2).sum(axis=1) / noise_var
-        log_mix = np.empty(b)
-        for lo in range(0, b, rows):
-            y_blk = y[lo:lo + rows]
-            n = y_blk.shape[0]
-            u, v, vk = buf_a[:n], buf_b[:n], buf_vk[:n]
-            tops = 0.0
-            for score, weights, bias in ((u, weights_a, bias_a),
-                                         (v, weights_b, bias_b)):
-                np.matmul(y_blk, weights, out=score)
-                score += bias
-                top = score.max(axis=1)
-                score -= top[:, None]
-                np.exp(score, out=score)
-                tops = tops + top
-            # sum_ab u_a kernel_ab v_b, contracted over the larger half
-            # first; unsplit (K_A = 0) this is one pass over v
-            np.matmul(v, kernel.T, out=vk)
-            vk *= u
-            log_mix[lo:lo + rows] = tops + np.log(vk.sum(axis=1))
-        ysq = 0.5 * (y * y).sum(axis=1) / noise_var
-        vals[pos:pos + b] = (ll_true + ysq - log_mix) / S.K
-        pos += b
-        chunk_id += 1
 
-    ordered = np.sort(vals)
-    mean = float(np.sum(ordered)) / n_samples
-    var = float(np.sum(np.sort((vals - mean) ** 2))) / (n_samples - 1)
-    return MiEstimate(value=mean, std_error=math.sqrt(var / n_samples),
+def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
+                             noise_var, n_samples: int,
+                             seed: int) -> MiEstimate:
+    """Monte Carlo estimate of the per-user mutual information with the
+    output law evaluated exactly by summing over all input vectors.
+
+    ``noise_var`` is one noise variance or an array of them.  A scalar
+    gives float fields; an array gives ``value`` and ``std_error`` arrays
+    of its shape, each entry equal to a scalar call at that level.
+    Restricted to discrete priors with ``M^K`` at most ``2**20``; Gaussian
+    inputs have the closed form :func:`gaussian_exact_mi`.  Sampling uses
+    a fixed-size per-chunk seeding scheme and a sorted pairwise-summation
+    reduction, so results are reproducible for a given seed regardless of
+    evaluation order.  Each chunk is drawn once and scored at every level
+    of a pass; levels share a pass while their kernels and per-sample
+    values, ``M^K + n_samples`` doubles each, fit in ``2**20`` doubles.
+    The sum over input vectors ``c = (a, b)`` is split between the first
+    ``K_A`` users and the rest, as ``exp(u(y)) @ exp(M) @ exp(v(y))`` with
+    the cross term ``M`` fixed per level; ``K_A = 0`` is the unsplit sum.
+    Memory per level of a pass is ``O((M^K_A + M^K_B) L + M^K +
+    n_samples)``, plus three row-block buffers of about ``2**17`` doubles
+    shared by the pass.
+    """
+    if prior.kind not in (BINARY, DISCRETE):
+        raise ValueError("exact enumeration needs a discrete input prior")
+    levels = np.asarray(noise_var, dtype=float)
+    for level in levels.flat:
+        if not 0.0 < level < math.inf:
+            raise ValueError(f"noise variance must be positive and finite, "
+                             f"got {level}")
+    if n_samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {n_samples}")
+    m = prior._values.size
+    if m ** S.K > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"alphabet^users = {m}^{S.K} exceeds the enumeration limit "
+            f"{ENUMERATION_LIMIT}")
+
+    flat = levels.ravel()
+    per_pass = max(1, _PASS_DOUBLES // (m ** S.K + n_samples))
+    mean, std_error = np.array([
+        estimate for first in range(0, flat.size, per_pass)
+        for estimate in _pass_estimates(S, prior, flat[first:first + per_pass],
+                                        n_samples, seed)]).reshape(-1, 2).T
+    if levels.ndim == 0:
+        return MiEstimate(value=float(mean[0]), std_error=float(std_error[0]),
+                          n_samples=n_samples)
+    return MiEstimate(value=mean.reshape(levels.shape),
+                      std_error=std_error.reshape(levels.shape),
                       n_samples=n_samples)
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: CSV schemas, units, reproducibility, exit codes."""
 
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from spreadmi.cli import main
 
 LN2 = math.log(2.0)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def rows_of(path):
@@ -268,6 +270,16 @@ class TestSimulate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reproduces_golden_csv(self, tmp_path):
+        """The committed CSV of a binary K = 12 run, whose lowest level
+        takes the guarded split K_A = 1, is reproduced byte for byte."""
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--K", "12", "--L", "8", "--prior", "binary",
+                     "--sigma2-grid", "0.02:1:3", "--n-samples", "2000",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / "simulate.csv").read_bytes()
 
     def test_enumeration_bound_exit_code(self, tmp_path):
         code = main(["simulate", "--K", "24", "--L", "16", "--kind", "iid",

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +54,25 @@ def test_benchmark_tracer_targets_resolve():
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
     assert callable(spreadmi.optimality._mi_solution.cache_info)
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no benchmark tree next to src/")
+def test_benchmark_traced_child_runs_simulate(tmp_path):
+    """A traced benchmark repetition of a small ``simulate`` exits cleanly
+    and records one Monte Carlo span per matrix, whose attribute the
+    tracer reads from the call's arguments and result."""
+    src = PACKAGE.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER.parent / "child.py"), str(result), str(src),
+         "1", "--", "simulate", "--K", "4", "--L", "2", "--prior", "binary",
+         "--sigma2-grid", "0.5:1:3", "--n-samples", "1000", "--seed", "1",
+         "--out", "sim.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(result.read_text())
+    assert run["exit_code"] == 0
+    attrs = [attr for name, _, _, _, attr in run["spans"]
+             if name == "montecarlo.exact_mutual_information"]
+    assert attrs == [[4, 2, 2, 1000]] * 2

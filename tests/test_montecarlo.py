@@ -211,12 +211,42 @@ class TestExactMutualInformation:
 
     def test_monotone_in_noise_within_error(self):
         s = gen_wbe_spreading(2, 6, 4)
-        grid = [0.25, 0.5, 1.0, 2.0]
-        ests = [exact_mutual_information(s, binary_prior(), s2, 20_000, 3)
-                for s2 in grid]
-        for lo, hi in zip(ests[1:], ests[:-1]):
-            slack = 3.0 * math.hypot(lo.std_error, hi.std_error)
-            assert hi.value >= lo.value - slack
+        est = exact_mutual_information(s, binary_prior(),
+                                       [0.25, 0.5, 1.0, 2.0], 20_000, 3)
+        slack = 3.0 * np.hypot(est.std_error[1:], est.std_error[:-1])
+        assert np.all(est.value[:-1] >= est.value[1:] - slack)
+
+    @pytest.mark.parametrize("gen, K, L, prior, grid", [
+        (gen_iid_spreading, 12, 8, binary_prior(), [0.02, 0.25, 1.0]),
+        (gen_iid_spreading, 7, 5, pam4_prior(), [0.25, 1.0]),
+        (gen_wbe_spreading, 6, 4, skewed_prior(), [[0.1, 0.5], [1.0, 4.0]]),
+        (gen_iid_spreading, 18, 8, binary_prior(), [0.25, 0.5, 1.0, 2.0]),
+    ], ids=["binary-K12-guarded", "4pam-K7-uneven", "skewed-2d",
+            "binary-K18-two-passes"])
+    def test_level_array_equals_scalar_calls(self, gen, K, L, prior, grid):
+        """Levels scored on shared draws give each level's scalar result
+        bit for bit, with 1,300 samples leaving a partial last chunk.  At
+        K = 12, sigma2 0.02 takes the guarded split K_A = 1 next to the even
+        one; at K = 18 the pass budget holds three levels, so four take
+        two passes."""
+        s = gen(4, K, L)
+        est = exact_mutual_information(s, prior, grid, 1_300, 9)
+        assert est.value.shape == est.std_error.shape == np.shape(grid)
+        assert est.n_samples == 1_300
+        for level, value, std_error in zip(np.ravel(grid), est.value.flat,
+                                           est.std_error.flat):
+            one = exact_mutual_information(s, prior, level, 1_300, 9)
+            assert isinstance(one.value, float)
+            assert (value, std_error) == (one.value, one.std_error)
+
+    @pytest.mark.parametrize("noise_var", [math.inf, math.nan, 0.0,
+                                           [0.5, math.inf], [math.nan, 0.5]],
+                             ids=["inf", "nan", "zero", "array-inf",
+                                  "array-nan"])
+    def test_rejects_nonfinite_noise(self, noise_var):
+        with pytest.raises(ValueError, match="positive and finite"):
+            exact_mutual_information(unit_matrix(), binary_prior(), noise_var,
+                                     1_000, 0)
 
     def test_enumeration_limit(self):
         s = gen_iid_spreading(0, 21, 8)
@@ -302,6 +332,21 @@ class TestExactMutualInformation:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
+
+    def test_memory_of_level_passes_is_bounded(self):
+        """At 2^20 codewords a level's kernel fills the pass budget, so
+        each level gets a pass of its own and four levels peak where one
+        does."""
+        s = gen_iid_spreading(0, 20, 8)
+        peaks = []
+        for noise_var in (0.5, [0.25, 0.5, 1.0, 2.0]):
+            tracemalloc.start()
+            try:
+                exact_mutual_information(s, binary_prior(), noise_var, 1_000, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_estimate_within_prior_entropy(self):
         s = gen_wbe_spreading(1, 6, 4)
