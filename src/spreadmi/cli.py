@@ -196,18 +196,15 @@ def cmd_transform(cfg) -> int:
     # below z_min no R solves the defining relation (the MP closed form
     # continues there, but its hilbert column would no longer reproduce z)
     lowest = z_min(dist)
-    if np.any(z_grid >= 0.0) or np.any(z_grid <= lowest):
+    if not np.all((lowest < z_grid) & (z_grid < 0.0)):
         raise ConfigError(f"z grid must lie in (z_min, 0) = ({lowest:.12g}, 0) "
                           f"for spectrum {name}")
     out = cfg.get("out", "transform.csv")
 
-    rows = []
-    for z, r in zip(z_grid, r_transform(dist, z_grid)):
-        gamma = r + 1.0 / z
-        c_val = hilbert(dist, gamma)
-        g_val = g_integral(dist, float(z))
-        rows.append([name, z, r, g_val, gamma, c_val])
-
+    r = r_transform(dist, z_grid)
+    gamma = r + 1.0 / z_grid
+    rows = [[name, *values] for values in zip(
+        z_grid, r, g_integral(dist, z_grid), gamma, hilbert(dist, gamma))]
     _write_csv(out, ["spectrum", "z", "R", "G", "gamma", "hilbert"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK

@@ -151,5 +151,6 @@ def parse_grid(text: str) -> np.ndarray:
 def ebn0_db_to_sigma2(ebn0_db) -> np.ndarray:
     """Noise variance for unit-energy binary signalling at the given
     Eb/N0 in dB: ``sigma2 = 1 / (2 * 10^(EbN0/10))``."""
-    ebn0_db = np.asarray(ebn0_db, dtype=float)
-    return 1.0 / (2.0 * 10.0 ** (ebn0_db / 10.0))
+    # -inf dB gives sigma2 = inf and an overflow 0: SystemSpec rejects both
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (2.0 * 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0))

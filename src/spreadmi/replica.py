@@ -69,10 +69,6 @@ def _snr_of(spec: SystemSpec, err: float) -> float:
     return r_transform(spec.spectrum, -err / spec.noise_var) / spec.noise_var
 
 
-def _snr_update(spec: SystemSpec, snr: float) -> float:
-    return _snr_of(spec, mmse(spec.prior, snr))
-
-
 _SCAN_POINTS = 16
 _REFINE_ROUNDS = 12
 
@@ -189,19 +185,24 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     over that interval, the grid is refined around turns of ``d`` that
     approach zero without crossing it, and each upward crossing (the
     roots that damped iteration converges to) is solved with Brent's
-    method.  ``iterations`` is Brent's iteration count and ``residual``
-    the defect at the root.  A root whose mutual information is not
-    positive, which no finite noise variance admits, raises
-    ``NumericsError``.
+    method.  ``d`` is evaluated once per snr, and each root's ``E`` and
+    ``residual`` (``|d|``) come from the evaluation at that root;
+    ``iterations`` is Brent's iteration count.  A root whose mutual
+    information is not positive, which no finite noise variance admits,
+    raises ``NumericsError``.
     """
-    def defect(s):
-        return s - _snr_update(spec, s)
+    seen = {}  # snr -> (E, d)
 
-    lo = _snr_update(spec, 0.0)
-    # the update itself at E = 0, so that d(hi) is exactly 0 when mmse
-    # underflows there; geomspace keeps both ends exact
-    hi = r_transform(spec.spectrum, 0.0) / spec.noise_var
-    snr = np.geomspace(lo, hi, _SCAN_POINTS).tolist()
+    def defect(s):
+        if s not in seen:
+            err = mmse(spec.prior, s)
+            seen[s] = err, s - _snr_of(spec, err)
+        return seen[s][1]
+
+    # the update at E = mmse(0) = 1 and at E = 0, so that d(hi) is exactly
+    # 0 when mmse underflows there; geomspace keeps both ends exact
+    snr = np.geomspace(_snr_of(spec, 1.0), _snr_of(spec, 0.0),
+                       _SCAN_POINTS).tolist()
     d = [defect(s) for s in snr]
     for _ in range(_REFINE_ROUNDS):
         dips = _suspect_dips(d)
@@ -215,11 +216,8 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
 
     solutions = []
     for a, b in _upward_crossings(snr, d):
-        if a == b:
-            root, steps = a, 0
-        else:
-            root, steps = _brentq(defect, a, b)
-        err = mmse(spec.prior, root)
+        root, steps = (a, 0) if a == b else _brentq(defect, a, b)
+        err, d_root = seen[root]
         info = _information_at(spec, err, root)
         if not info > 0.0:
             raise NumericsError(
@@ -227,8 +225,7 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
                 f"{spec.noise_var:g} is not positive; the sum of its terms "
                 "has lost every digit to cancellation")
         solutions.append(SaddleSolution(
-            mmse=err, snr=root, iterations=steps,
-            residual=abs(root - _snr_of(spec, err)),
+            mmse=err, snr=root, iterations=steps, residual=abs(d_root),
             free_energy=info + _offset(spec), mutual_information=info))
     solutions.sort(key=lambda s: s.free_energy)
     if len(solutions) > 1:

@@ -384,8 +384,9 @@ def _invert_hilbert(dist, z):
         f"(z from {z.min()!r} to {z.max()!r})")
 
 
-def g_integral(dist: EigenDistribution, t: float) -> float:
-    """Integral of the R-transform from 0 to ``t`` (``t <= 0``), in closed form.
+def g_integral(dist: EigenDistribution, t):
+    """Integral of the R-transform from 0 to ``t <= 0`` (scalar or array),
+    in closed form, with one R evaluation per point.
 
     ``G(t) = t R(t) - int log(1 + t (R(t) - lam)) dF(lam)``, where each log
     argument is ``(lam - gamma)(-t) > 0`` with ``gamma = R(t) + 1/t``; the
@@ -393,11 +394,13 @@ def g_integral(dist: EigenDistribution, t: float) -> float:
     where its R closed form continues past ``z_min``.  ``G(t) <= 0`` since
     the R-transform is positive.
     """
-    t = float(t)
-    if t > 0.0:
+    t = np.asarray(t, dtype=float)
+    if (t > 0.0).any():
         raise ValueError("g_integral is only evaluated on t <= 0")
     if dist.tag == MP:
-        return -math.log1p(-dist.beta * t) / dist.beta
-    r = r_transform(dist, t)
-    loc, w = dist._support
-    return t * r - float(w @ np.log1p(t * (r - loc)))
+        out = -np.log1p(-dist.beta * t) / dist.beta
+    else:
+        loc, w = dist._support
+        r = np.asarray(r_transform(dist, t))
+        out = t * r - np.log1p(t[..., None] * (r[..., None] - loc)) @ w
+    return out if out.ndim else float(out)

@@ -393,13 +393,24 @@ class TestExitCodes:
         pytest.param(["simulate", "--K", "4", "--L", "2", "--n-samples", "10"],
                      id="simulate-n-samples"),
         pytest.param(["simulate", "--L", "2"], id="simulate-missing-K"),
+        # non-finite grid points: no NaN rows, no numpy warning first
+        pytest.param(["transform", "--spectrum", "wbe", "--beta", "1.5",
+                      "--z-grid", "nan"], id="transform-z-nan"),
+        pytest.param(["transform", "--spectrum", "wbe", "--beta", "1.5",
+                      "--z-grid=nan:-1:3"], id="transform-z-nan-grid"),
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",
+                      "--ebn0-grid=-inf"], id="mi-sweep-ebn0-minus-inf"),
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",
+                      "--ebn0-grid", "1e10"], id="mi-sweep-ebn0-overflow"),
     ])
     def test_out_of_domain_input_is_config_error(self, tmp_path, capsys, argv):
-        code = main(argv + ["--out", str(tmp_path / "x")])
+        out = tmp_path / "x"
+        code = main(argv + ["--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5"],

@@ -8,23 +8,29 @@ import pytest
 from scipy import integrate, optimize
 
 from spreadmi import (NumericsError, SystemSpec, as_generic, binary_prior,
-                      free_energy, gaussian_prior, make_mp_law, make_wbe_law,
-                      mutual_information, normalized_discrete_prior,
+                      free_energy, gaussian_prior, make_discrete_law,
+                      make_mp_law, make_wbe_law, mmse, mutual_information,
+                      normalized_discrete_prior, r_transform,
                       sample_candidate_spectrum, solve_saddle)
 from spreadmi import replica
-from spreadmi.replica import _brentq, _snr_update
+from spreadmi.replica import _brentq
 
 WBE_GAUSS_C = math.log(4.0) / 3.0  # (1/(2 beta)) log(1 + beta/s2) at 1.5, 0.5
 
 PAM16 = normalized_discrete_prior([(2.0 * i - 15.0, 1.0 / 16.0)
                                    for i in range(16)])
 
+# weight 5.6e-8 at 8.9e6, the rest just below 0.5: a support ratio ~1e7
+FAR_W = 8.4e-8
+FAR_TAIL = make_discrete_law(
+    [((1.5 - 8.9e6 * FAR_W) / (1.0 - FAR_W), 1.0 - FAR_W), (8.9e6, FAR_W)], 1.5)
+
 # Solver inputs checked against the dense residual scan: the binary
 # coexistence region, an ``E = 0`` root at ``snr = 1/noise_var`` (sigma2 <=
 # 0.0105 at loads 3 and 4, where ``mmse`` underflows), an ``E ~ 1`` root next
 # to the lower end of the search interval (sigma2 = 1e6) or exactly on it
 # (1e8), and the domain edges: loads 1.0001, 1, 0.5 and 10, sigma2 = 1e-4,
-# and a 16-PAM input with two fixed points.
+# a 16-PAM input with two fixed points and a law with a far tail.
 SCAN_CASES = [
     pytest.param(binary_prior(), make_mp_law(1.5), 0.125, id="mp-1.5-0.125"),
     pytest.param(binary_prior(), make_mp_law(2.0), 0.1, id="mp-2-0.1"),
@@ -46,6 +52,8 @@ SCAN_CASES = [
     pytest.param(binary_prior(), make_mp_law(0.5), 1e-4, id="mp-0.5-0.0001"),
     pytest.param(binary_prior(), make_wbe_law(1.5), 1e-4, id="wbe-1.5-0.0001"),
     pytest.param(PAM16, make_wbe_law(1.5), 1e-3, id="16pam-wbe-1.5-0.001"),
+    *(pytest.param(binary_prior(), FAR_TAIL, s2, id=f"far-tail-1.5-{s2:g}")
+      for s2 in (0.05, 1.0)),
 ]
 
 
@@ -110,12 +118,10 @@ class TestSolveSaddle:
         pytest.param(make_wbe_law(1.5), 1e-6, id="wbe-1.5-1e-06"),
     ])
     def test_residuals_meet_fixed_point_equations(self, law, noise_var):
-        from spreadmi.channel import mmse as channel_mmse
-        from spreadmi.spectra import r_transform
         spec = SystemSpec(prior=binary_prior(), spectrum=law, noise_var=noise_var)
         for sol in solve_saddle(spec):
             tol = 1e-9 * max(1.0, sol.snr)
-            assert abs(sol.mmse - channel_mmse(spec.prior, sol.snr)) <= tol
+            assert abs(sol.mmse - mmse(spec.prior, sol.snr)) <= tol
             update = r_transform(spec.spectrum,
                                  -sol.mmse / noise_var) / noise_var
             assert abs(sol.snr - update) <= tol
@@ -128,19 +134,51 @@ class TestSolveSaddle:
         the defect on a dense grid: none missing, none extra."""
         spec = SystemSpec(prior=prior, spectrum=law, noise_var=noise_var)
         sols = solve_saddle(spec)
+
+        def defect(t):
+            return t - r_transform(law, -mmse(prior, t) / noise_var) / noise_var
+
         grid = np.geomspace(1e-4 / noise_var, 1e3 / noise_var, 2000)
-        resid = np.array([t - _snr_update(spec, t) for t in grid])
+        resid = np.array([defect(t) for t in grid])
         roots = []
         for i in np.nonzero((resid[:-1] < 0.0) & (resid[1:] >= 0.0))[0]:
-            roots.append(optimize.brentq(
-                lambda t: t - _snr_update(spec, t), grid[i], grid[i + 1],
-                xtol=1e-300, rtol=8.9e-16))
+            roots.append(optimize.brentq(defect, grid[i], grid[i + 1],
+                                         xtol=1e-300, rtol=8.9e-16))
         assert roots, "scan oracle found no fixed point"
         assert len(sols) == len(roots)
         for sol in sols:
             assert min(abs(sol.snr - r) / r for r in roots) < 1e-8
         for r in roots:
             assert min(abs(sol.snr - r) / r for sol in sols) < 1e-8
+
+    @pytest.mark.parametrize("prior, law, noise_var", [
+        pytest.param(binary_prior(), make_mp_law(2.0), 0.1, id="mp-2-0.1"),
+        pytest.param(binary_prior(), sample_candidate_spectrum(1, 2.0, 3), 0.05,
+                     id="sampled1-2-0.05"),
+        pytest.param(PAM16, make_wbe_law(1.5), 1e-3, id="16pam-wbe-1.5-0.001"),
+        pytest.param(gaussian_prior(), make_wbe_law(1.5), 0.5,
+                     id="gauss-wbe-1.5-0.5"),
+    ])
+    def test_each_root_reads_its_own_evaluation(self, monkeypatch, prior, law,
+                                                noise_var):
+        """``mmse`` runs once per distinct snr, and each root's ``mmse`` and
+        ``residual`` are exactly the values of the fixed-point equations at
+        that root."""
+        calls = []
+
+        def counted(prior, snr):
+            calls.append(snr)
+            return mmse(prior, snr)
+
+        monkeypatch.setattr(replica, "mmse", counted)
+        sols = solve_saddle(SystemSpec(prior=prior, spectrum=law,
+                                       noise_var=noise_var))
+        assert calls and len(calls) == len(set(calls))
+        for sol in sols:
+            assert sol.snr in calls
+            assert sol.mmse == mmse(prior, sol.snr)
+            update = r_transform(law, -sol.mmse / noise_var) / noise_var
+            assert sol.residual == abs(sol.snr - update)
 
     def test_brentq_matches_reference_bit_for_bit(self, monkeypatch):
         """``_brentq`` is a port of the reference ``brentq``: on every

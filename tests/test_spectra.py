@@ -380,6 +380,25 @@ class TestGIntegral:
     def test_rejects_positive_t(self):
         with pytest.raises(ValueError):
             g_integral(make_mp_law(1.5), 0.1)
+        with pytest.raises(ValueError):
+            g_integral(make_wbe_law(1.5), np.array([-1.0, 0.1]))
+
+    @pytest.mark.parametrize("law", [
+        pytest.param(make_mp_law(1.5), id="mp-1.5"),
+        pytest.param(make_wbe_law(1.5), id="wbe-1.5"),
+        pytest.param(sample_candidate_spectrum(3, 2.0, 5), id="sampled3-2-5"),
+        pytest.param(as_generic(make_mp_law(1.5)), id="generic-mp-1.5"),
+        pytest.param(as_generic(make_wbe_law(1.5)), id="generic-wbe-1.5"),
+    ])
+    def test_array_matches_scalar_calls(self, law):
+        # the array form sums the support by a matrix-vector product, so it
+        # may differ from the scalar dot product in the last bits
+        t = np.concatenate(([0.0], -np.geomspace(1e-6, 50.0, 40)))
+        vals = g_integral(law, t)
+        assert vals.shape == t.shape
+        np.testing.assert_allclose(vals, [g_integral(law, x) for x in t],
+                                   rtol=1e-14, atol=0.0)
+        assert g_integral(law, t.reshape(1, -1)).shape == (1, t.size)
 
     @pytest.mark.parametrize("law", [
         pytest.param(sample_candidate_spectrum(0, 2.0, 3), id="sampled0-2-3"),
