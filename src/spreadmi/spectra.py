@@ -272,7 +272,7 @@ def hilbert(dist: EigenDistribution, gamma):
     every other law sums over its support.
     """
     g = np.asarray(gamma, dtype=float)
-    if np.any(g >= dist.lambda_min):
+    if not np.all(g < dist.lambda_min):
         raise ValueError(
             f"gamma must lie strictly below the support infimum "
             f"{dist.lambda_min!r}")
@@ -320,7 +320,7 @@ def r_transform(dist: EigenDistribution, z):
     safeguarded Newton steps (``_invert_hilbert``).
     """
     z_arr = np.asarray(z, dtype=float)
-    if (z_arr > 0.0).any():
+    if not (z_arr <= 0.0).all():
         raise ValueError("r_transform is only evaluated on z <= 0")
     beta = dist.beta
     if dist.tag == MP:
@@ -395,7 +395,7 @@ def g_integral(dist: EigenDistribution, t):
     the R-transform is positive.
     """
     t = np.asarray(t, dtype=float)
-    if (t > 0.0).any():
+    if not (t <= 0.0).all():
         raise ValueError("g_integral is only evaluated on t <= 0")
     if dist.tag == MP:
         out = -np.log1p(-dist.beta * t) / dist.beta

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from spreadmi import channel
 from spreadmi import (InputPrior, binary_prior, discrete_prior, gaussian_prior,
                       mmse, normalized_discrete_prior, output_density,
                       output_entropy, posterior_mean, scalar_mutual_information)
@@ -37,9 +38,37 @@ def wide_prior():
                                       (100000.0, 0.01)])
 
 
-def pam64_prior():
-    return normalized_discrete_prior([(2.0 * i - 63.0, 1.0 / 64.0)
-                                      for i in range(64)])
+def pam_prior(m):
+    return normalized_discrete_prior([(2.0 * i - (m - 1.0), 1.0 / m)
+                                      for i in range(m)])
+
+
+def loop_mixture_rule(centers):
+    """The composite rule built one panel at a time, with ``np.linspace``
+    edges: the oracle of ``channel._mixture_rule``'s array construction."""
+    lo = centers[0] - 10.0
+    hi = centers[-1] + 10.0
+    pts = {lo, hi}
+    pts.update(float(c) for c in centers)
+    for a, b in zip(centers[:-1], centers[1:]):
+        gap = float(b - a)
+        if gap <= 1e-12:
+            continue
+        mid = 0.5 * (a + b)
+        width = min(1.0, 2.0 / gap)
+        for p in (mid - 4 * width, mid - width, mid, mid + width, mid + 4 * width):
+            if a < p < b:
+                pts.add(float(p))
+    pts = np.array(sorted(pts))
+    nodes, weights = [], []
+    for a, b in zip(pts[:-1], pts[1:]):
+        nsub = max(1, math.ceil((b - a) / 3.0))
+        edges = np.linspace(a, b, nsub + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes.append((mid[:, None] + half[:, None] * channel._GL_X).ravel())
+        weights.append((half[:, None] * channel._GL_W).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def gh_binary_mmse_oracle(snr):
@@ -182,6 +211,38 @@ class TestPosteriorMean:
                                    posterior_mean(generic, 1.7, u), atol=1e-12)
 
 
+class TestMixtureRule:
+    @pytest.mark.parametrize("prior", [
+        binary_prior(), pam4_prior(), pam_prior(16), pam_prior(64),
+        # a zero center: edges at +-0.0 must not split or merge a panel
+        normalized_discrete_prior([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]),
+        wide_prior(),
+    ], ids=["binary", "4pam", "16pam", "64pam", "zero-center", "wide"])
+    def test_equals_the_panel_loop(self, prior):
+        values = prior._sorted[0]
+        for snr in np.geomspace(1e-6, 1e6, 61):
+            centers = math.sqrt(snr) * values
+            nodes, weights = channel._mixture_rule(centers)
+            want_nodes, want_weights = loop_mixture_rule(centers)
+            assert np.array_equal(nodes, want_nodes)
+            assert np.array_equal(weights, want_weights)
+
+
+class TestSnrDomain:
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("evaluate", [
+        lambda prior, snr: output_density(prior, snr, 0.3),
+        lambda prior, snr: posterior_mean(prior, snr, 0.3),
+        mmse, output_entropy, scalar_mutual_information,
+    ], ids=["output_density", "posterior_mean", "mmse", "output_entropy",
+            "scalar_mutual_information"])
+    @pytest.mark.parametrize("prior", [binary_prior(), gaussian_prior()],
+                             ids=["binary", "gaussian"])
+    def test_rejects_non_finite_snr(self, prior, evaluate, snr):
+        with pytest.raises(ValueError, match=f"positive and finite, got {snr}"):
+            evaluate(prior, snr)
+
+
 class TestMmse:
     def test_gaussian_closed_form(self):
         assert mmse(gaussian_prior(), 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -321,7 +382,7 @@ class TestInformationIdentities:
         pytest.param(wide_prior(), 5.62e5, dict(rel=1e-12, abs=0.0),
                      id="wide-5.62e5"),
         pytest.param(wide_prior(), 1e6, dict(rel=1e-12, abs=0.0), id="wide-1e6"),
-        pytest.param(pam64_prior(), 1e6, dict(rel=1e-12, abs=0.0),
+        pytest.param(pam_prior(64), 1e6, dict(rel=1e-12, abs=0.0),
                      id="64pam-1e6"),
     ])
     def test_binary_mi_saturates_at_one_bit(self, prior, snr, tol):

@@ -464,3 +464,19 @@ class TestConstructionInvariants:
         cs = mp.cdf(xs)
         assert np.all(np.diff(cs) >= -1e-12)
         assert cs[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNanInput:
+    @pytest.mark.parametrize("transform", [hilbert, r_transform, g_integral])
+    @pytest.mark.parametrize("law", [
+        pytest.param(make_mp_law(1.5), id="mp-1.5"),
+        pytest.param(make_wbe_law(1.5), id="wbe-1.5"),
+        pytest.param(sample_candidate_spectrum(0, 2.0, 3), id="sampled0-2-3"),
+    ])
+    def test_rejected_as_out_of_domain(self, law, transform):
+        # NaN fails every comparison, so it must not slip past the domain
+        # check into the closed forms or the Newton inversion
+        with pytest.raises(ValueError):
+            transform(law, math.nan)
+        with pytest.raises(ValueError):
+            transform(law, np.array([-1.0, math.nan]))
