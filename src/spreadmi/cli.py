@@ -62,6 +62,14 @@ def _write_csv(path, header, rows):
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+def _solved(point, solve, spec):
+    """``solve(spec)``, with ``point`` named in a ``NumericsError``."""
+    try:
+        return solve(spec)
+    except NumericsError as exc:
+        raise NumericsError(f"solver failed at {point}: {exc}") from exc
+
+
 def _report_rows(prefix, report):
     """One row per grid point of a dominance report, behind ``prefix``."""
     return [[*prefix, *values] for values in zip(
@@ -84,11 +92,7 @@ def cmd_mi_sweep(cfg) -> int:
     for name, dist in spectra:
         for i, s2 in enumerate(sigma2):
             spec = SystemSpec(prior=prior, spectrum=dist, noise_var=float(s2))
-            try:
-                sols = solve_saddle(spec)
-            except NumericsError as exc:
-                raise NumericsError(
-                    f"solver failed at spectrum={name} sigma2={s2:g}: {exc}") from exc
+            sols = _solved(f"spectrum={name} sigma2={s2:g}", solve_saddle, spec)
             best = sols[0]
             eb = [ebn0[i]] if ebn0 is not None else []
             rows.append([name, *eb, s2, best.mmse, best.snr,
@@ -117,7 +121,8 @@ def cmd_verify_optimality(cfg) -> int:
     candidates += [parse_spectrum(text, beta) for text in cfg.get("candidate", [])]
 
     gamma_grid = -np.geomspace(1e3, 1e-3, 200)
-    wbe_mi = [mi_solution(SystemSpec(prior, wbe_reference(beta), s2))
+    wbe_mi = [_solved(f"spectrum=wbe sigma2={s2:g}", mi_solution,
+                      SystemSpec(prior, wbe_reference(beta), s2))
               .mutual_information for s2 in sigma2]
     rows_r, rows_h, rows_mi, failures = [], [], [], []
     for name, law in candidates:
@@ -126,7 +131,8 @@ def cmd_verify_optimality(cfg) -> int:
         rows_h += _report_rows([name], h_rep)
         for s2, ref_mi in zip(sigma2, wbe_mi):
             spec = SystemSpec(prior=prior, spectrum=law, noise_var=s2)
-            r_rep = r_dominance(spec)
+            # the report solves the candidate, so mi_solution reads its cache
+            r_rep = _solved(f"spectrum={name} sigma2={s2:g}", r_dominance, spec)
             rows_r += _report_rows([name, s2], r_rep)
             cand_mi = mi_solution(spec).mutual_information
             margin = ref_mi - cand_mi
@@ -173,7 +179,8 @@ def cmd_simulate(cfg) -> int:
 
     rows = []
     for kind in kinds:
-        asymptotes = [mutual_information(
+        asymptotes = [_solved(
+            f"kind={kind} sigma2={s2:g}", mutual_information,
             SystemSpec(prior=prior, spectrum=laws[kind], noise_var=s2)
         ).mutual_information for s2 in map(float, sigma2)]
         # one call scores the whole grid on the same Monte Carlo draws

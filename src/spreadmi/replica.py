@@ -20,7 +20,6 @@ coexist the one of minimal free energy is selected.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ import numpy as np
 from .channel import InputPrior, mmse, output_entropy
 from .errors import NumericsError
 from .spectra import EigenDistribution, g_integral, r_transform
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -71,20 +68,6 @@ def _snr_of(spec: SystemSpec, err: float) -> float:
 
 _SCAN_POINTS = 16
 _REFINE_ROUNDS = 12
-
-
-def _upward_crossings(snr, d):
-    """Brackets ``(lo, hi)`` over which the defect ``d`` rises through
-    zero on the sorted scan, and scan points ``(s, s)`` where it reaches
-    zero exactly from below."""
-    # d <= 0 holds at the lower end, so a zero there is a root too
-    out = [(snr[0], snr[0])] if d[0] == 0.0 else []
-    for i in range(len(snr) - 1):
-        if d[i] < 0.0 < d[i + 1]:
-            out.append((snr[i], snr[i + 1]))
-        elif d[i] < 0.0 and d[i + 1] == 0.0:
-            out.append((snr[i + 1], snr[i + 1]))
-    return out
 
 
 def _suspect_dips(d):
@@ -185,11 +168,12 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     over that interval, the grid is refined around turns of ``d`` that
     approach zero without crossing it, and each upward crossing (the
     roots that damped iteration converges to) is solved with Brent's
-    method.  ``d`` is evaluated once per snr, and each root's ``E`` and
-    ``residual`` (``|d|``) come from the evaluation at that root;
-    ``iterations`` is Brent's iteration count.  A root whose mutual
-    information is not positive, which no finite noise variance admits,
-    raises ``NumericsError``.
+    method.  ``d`` is evaluated once per snr into one table, whose sorted
+    entries are the scan; each root's ``E`` and ``residual`` (``|d|``)
+    come from its entry, and ``iterations`` is Brent's iteration count (0
+    for an exact zero at a scan point).  A root whose mutual information
+    is not positive, which no finite noise variance admits, raises
+    ``NumericsError``.
     """
     seen = {}  # snr -> (E, d)
 
@@ -201,21 +185,29 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
 
     # the update at E = mmse(0) = 1 and at E = 0, so that d(hi) is exactly
     # 0 when mmse underflows there; geomspace keeps both ends exact
-    snr = np.geomspace(_snr_of(spec, 1.0), _snr_of(spec, 0.0),
-                       _SCAN_POINTS).tolist()
-    d = [defect(s) for s in snr]
+    for s in np.geomspace(_snr_of(spec, 1.0), _snr_of(spec, 0.0),
+                          _SCAN_POINTS).tolist():
+        defect(s)
     for _ in range(_REFINE_ROUNDS):
-        dips = _suspect_dips(d)
+        snr = sorted(seen)
+        dips = _suspect_dips([seen[s][1] for s in snr])
         if not dips:
             break
-        cuts = sorted({j for i in dips for j in (i - 1, i)})
-        for j in reversed(cuts):
-            mid = math.sqrt(snr[j] * snr[j + 1])
-            snr.insert(j + 1, mid)
-            d.insert(j + 1, defect(mid))
+        for j in {j for i in dips for j in (i - 1, i)}:
+            defect(math.sqrt(snr[j] * snr[j + 1]))
+
+    snr = sorted(seen)
+    d = [seen[s][1] for s in snr]
+    # d <= 0 holds at the lower end, so a zero there is a root too
+    brackets = [(snr[0], snr[0])] if d[0] == 0.0 else []
+    for i in range(len(snr) - 1):
+        if d[i] < 0.0 < d[i + 1]:
+            brackets.append((snr[i], snr[i + 1]))
+        elif d[i] < 0.0 and d[i + 1] == 0.0:
+            brackets.append((snr[i + 1], snr[i + 1]))
 
     solutions = []
-    for a, b in _upward_crossings(snr, d):
+    for a, b in brackets:
         root, steps = (a, 0) if a == b else _brentq(defect, a, b)
         err, d_root = seen[root]
         info = _information_at(spec, err, root)
@@ -228,10 +220,6 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
             mmse=err, snr=root, iterations=steps, residual=abs(d_root),
             free_energy=info + _offset(spec), mutual_information=info))
     solutions.sort(key=lambda s: s.free_energy)
-    if len(solutions) > 1:
-        logger.info("found %d coexisting fixed points at noise_var=%g: %s",
-                    len(solutions), spec.noise_var,
-                    [round(s.snr, 6) for s in solutions])
     return solutions
 
 

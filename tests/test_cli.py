@@ -234,6 +234,21 @@ class TestVerifyOptimality:
         assert len(rows) == 1
         assert abs(float(rows[0]["margin"])) <= 1e-10
 
+    def test_solver_failure_names_candidate(self, tmp_path, monkeypatch, capsys):
+        from spreadmi import NumericsError
+        import spreadmi.cli as cli_mod
+
+        def explode(spec):
+            raise NumericsError("forced failure")
+
+        monkeypatch.setattr(cli_mod, "r_dominance", explode)
+        code = main(["verify-optimality", "--beta", "1.5", "--candidates", "2",
+                     "--seed", "1", "--sigma2-grid", "0.5",
+                     "--out", str(tmp_path / "opt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "spectrum=sampled-1 sigma2=0.5" in err and "forced failure" in err
+
 
 class TestSimulate:
     def test_columns_and_gap(self, tmp_path):
@@ -280,6 +295,21 @@ class TestSimulate:
                      "--seed", "3", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / "simulate.csv").read_bytes()
+
+    def test_solver_failure_names_kind(self, tmp_path, monkeypatch, capsys):
+        from spreadmi import NumericsError
+        import spreadmi.cli as cli_mod
+
+        def explode(spec):
+            raise NumericsError("forced failure")
+
+        monkeypatch.setattr(cli_mod, "mutual_information", explode)
+        code = main(["simulate", "--K", "4", "--L", "2", "--kind", "wbe",
+                     "--prior", "binary", "--sigma2-grid", "0.5",
+                     "--n-samples", "1000", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "kind=wbe sigma2=0.5" in err and "forced failure" in err
 
     def test_enumeration_bound_exit_code(self, tmp_path):
         code = main(["simulate", "--K", "24", "--L", "16", "--kind", "iid",

@@ -30,7 +30,9 @@ FAR_TAIL = make_discrete_law(
 # 0.0105 at loads 3 and 4, where ``mmse`` underflows), an ``E ~ 1`` root next
 # to the lower end of the search interval (sigma2 = 1e6) or exactly on it
 # (1e8), and the domain edges: loads 1.0001, 1, 0.5 and 10, sigma2 = 1e-4,
-# a 16-PAM input with two fixed points and a law with a far tail.
+# a 16-PAM input with two fixed points, a law with a far tail, and a law
+# near a spinodal whose upper root lies in a dip of the defect that no scan
+# point crosses, so that only the refinement finds it.
 SCAN_CASES = [
     pytest.param(binary_prior(), make_mp_law(1.5), 0.125, id="mp-1.5-0.125"),
     pytest.param(binary_prior(), make_mp_law(2.0), 0.1, id="mp-2-0.1"),
@@ -54,6 +56,8 @@ SCAN_CASES = [
     pytest.param(PAM16, make_wbe_law(1.5), 1e-3, id="16pam-wbe-1.5-0.001"),
     *(pytest.param(binary_prior(), FAR_TAIL, s2, id=f"far-tail-1.5-{s2:g}")
       for s2 in (0.05, 1.0)),
+    pytest.param(binary_prior(), sample_candidate_spectrum(837, 3.835795319416039, 2),
+                 0.0661951174845647, id="near-spinodal-3.84-0.066"),
 ]
 
 
