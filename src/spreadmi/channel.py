@@ -213,8 +213,11 @@ def _output_table(prior: InputPrior, snr: float):
 def mmse(prior: InputPrior, snr: float) -> float:
     """Minimum mean-square error of estimating the input from the output.
 
-    Lies in ``[0, 1]``, is non-increasing in ``snr``, and equals 1 at
-    ``snr = 0`` (no observation).
+    Lies in ``[0, 1]``, equals 1 at ``snr = 0`` (no observation), and is
+    non-increasing in ``snr`` down to a rounding floor near
+    ``(eps * max|x|)^2``.  Where the posterior is certain, the computed
+    error sits on that floor, not at the true value, and may rise by a
+    few ulps as ``snr`` grows.
     """
     if snr == 0.0:
         return 1.0

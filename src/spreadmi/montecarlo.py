@@ -27,7 +27,8 @@ COLUMN_NORM_TOL = 1e-10
 GRAM_TOL = 1e-9
 ENUMERATION_LIMIT = 2 ** 20
 _CHUNK = 256
-# doubles per row-block buffer of the codebook sum (1 MiB)
+# doubles per half of a block's codebook scores (1 MiB); the two buffers
+# of a pass hold at most three times this
 _BLOCK = 2 ** 17
 # doubles of kernels and per-sample values the levels of one pass hold
 # together (8 MiB); a level that does not fit alone gets a pass of its own
@@ -238,24 +239,24 @@ def _half_codebook(cols: np.ndarray, values: np.ndarray,
 
 class _Split(NamedTuple):
     """The codebook sum at one noise level, split between the first
-    ``K_A`` users and the rest: the weights ``(L, M^k)`` and score biases
-    of both halves and the kernel ``exp(M - max_b M)``."""
+    ``K_A`` users and the rest: the score matrix ``(M^K_A + M^K_B, L + 1)``
+    of both halves, each channel image over the noise variance with its
+    score bias appended, the first half's size ``M^K_A``, and the kernel
+    ``exp(M - max_b M)``."""
 
-    weights_a: np.ndarray
-    bias_a: np.ndarray
-    weights_b: np.ndarray
-    bias_b: np.ndarray
+    scores: np.ndarray
+    size_a: int
     kernel: np.ndarray
 
     @property
     def rows(self) -> int:
         """Outputs per block: a fixed budget of ``_BLOCK`` doubles per
-        buffer, and never more than one chunk."""
+        half, and never more than one chunk."""
         return min(_CHUNK, max(1, _BLOCK // self.width))
 
     @property
     def width(self) -> int:
-        return max(self.bias_a.size, self.bias_b.size)
+        return max(self.size_a, self.scores.shape[0] - self.size_a)
 
 
 def _split_sum(S: SpreadingMatrix, values: np.ndarray,
@@ -279,37 +280,38 @@ def _split_sum(S: SpreadingMatrix, values: np.ndarray,
     bias_a += row_top
     cross -= row_top[:, None]
     kernel = np.exp(cross, out=cross)                # (M^K_A, M^K_B)
-    return _Split(img_a.T / noise_var, bias_a, img_b.T / noise_var, bias_b,
-                  kernel)
+    scores = np.hstack([np.vstack([img_a, img_b]) / noise_var,
+                        np.concatenate([bias_a, bias_b])[:, None]])
+    return _Split(scores, bias_a.size, kernel)
 
 
-def _log_mixture(y: np.ndarray, split: _Split,
-                 work: np.ndarray) -> np.ndarray:
-    """``log sum_c exp(score_c(y))`` per row of ``y`` at one noise level,
-    in row blocks scored in the three buffers ``work``."""
-    weights_a, bias_a, weights_b, bias_b, kernel = split
+def _log_mixture(y1: np.ndarray, split: _Split,
+                 work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``log sum_c exp(score_c(y))`` per column of ``y1``, the outputs
+    ``y^T`` over a row of ones, at one noise level, in column blocks
+    scored in the two buffers ``work``."""
+    scores, size_a, kernel = split
     rows = split.rows
-    log_mix = np.empty(y.shape[0])
-    for lo in range(0, y.shape[0], rows):
-        y_blk = y[lo:lo + rows]
-        n = y_blk.shape[0]
-        u = work[0, :n * bias_a.size].reshape(n, -1)
-        v = work[1, :n * bias_b.size].reshape(n, -1)
-        vk = work[2, :n * bias_a.size].reshape(n, -1)
-        tops = 0.0
-        for score, weights, bias in ((u, weights_a, bias_a),
-                                     (v, weights_b, bias_b)):
-            np.matmul(y_blk, weights, out=score)
-            score += bias
-            top = score.max(axis=1)
-            score -= top[:, None]
-            np.exp(score, out=score)
-            tops = tops + top
+    log_mix = np.empty(y1.shape[1])
+    for lo in range(0, y1.shape[1], rows):
+        y_blk = y1[:, lo:lo + rows]
+        n = y_blk.shape[1]
+        # both halves' scores, biases included, in one product
+        s = work[0][:scores.shape[0] * n].reshape(-1, n)
+        np.matmul(scores, y_blk, out=s)
+        u, v = s[:size_a], s[size_a:]
+        tops = u.max(axis=0)
+        u -= tops
+        top = v.max(axis=0)
+        v -= top
+        tops += top
+        np.exp(s, out=s)
         # sum_ab u_a kernel_ab v_b, contracted over the larger half first;
         # unsplit (K_A = 0) this is one pass over v
-        np.matmul(v, kernel.T, out=vk)
+        vk = work[1][:size_a * n].reshape(-1, n)
+        np.matmul(kernel, v, out=vk)
         vk *= u
-        log_mix[lo:lo + rows] = tops + np.log(vk.sum(axis=1))
+        log_mix[lo:lo + n] = tops + np.log(vk.sum(axis=0))
     return log_mix
 
 
@@ -321,10 +323,12 @@ def _pass_estimates(S: SpreadingMatrix, prior: InputPrior,
     values = prior._values
     log_probs = np.log(prior._probs)
     splits = [_split_sum(S, values, log_probs, level) for level in levels]
-    work = np.empty((3, max(sp.rows * sp.width for sp in splits)))
+    block = max(sp.rows * sp.width for sp in splits)
+    work = np.empty(2 * block), np.empty(block)
     # an input's index is the number of the first M - 1 cumulative
     # probabilities at or below its uniform draw
     cum = np.cumsum(prior._probs)[:-1]
+    y1 = np.ones((S.L + 1, _CHUNK))
     vals = np.empty((levels.size, n_samples))
     for chunk_id, pos in enumerate(range(0, n_samples, _CHUNK)):
         b = min(_CHUNK, n_samples - pos)
@@ -339,8 +343,9 @@ def _pass_estimates(S: SpreadingMatrix, prior: InputPrior,
             # Gaussian normalization cancelling
             ll_true = -0.5 * ((sigma * noise) ** 2).sum(axis=1) / noise_var
             ysq = 0.5 * (y * y).sum(axis=1) / noise_var
-            out[pos:pos + b] = (ll_true + ysq - _log_mixture(y, split, work)
-                                ) / S.K
+            y1[:-1, :b] = y.T
+            out[pos:pos + b] = (ll_true + ysq
+                                - _log_mixture(y1[:, :b], split, work)) / S.K
     estimates = []
     for row in vals:
         mean = float(np.sum(np.sort(row))) / n_samples
@@ -368,9 +373,11 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     The sum over input vectors ``c = (a, b)`` is split between the first
     ``K_A`` users and the rest, as ``exp(u(y)) @ exp(M) @ exp(v(y))`` with
     the cross term ``M`` fixed per level; ``K_A = 0`` is the unsplit sum.
-    Memory per level of a pass is ``O((M^K_A + M^K_B) L + M^K +
-    n_samples)``, plus three row-block buffers of about ``2**17`` doubles
-    shared by the pass.
+    Outputs are scored in column blocks, one column per sample: one
+    product gives both halves' scores, biases included.  Memory per level
+    of a pass is ``O((M^K_A + M^K_B) L + M^K + n_samples)``, plus two
+    column-block buffers of at most ``3 * 2**17`` doubles together, shared
+    by the pass.
     """
     if prior.kind not in (BINARY, DISCRETE):
         raise ValueError("exact enumeration needs a discrete input prior")

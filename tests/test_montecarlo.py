@@ -266,8 +266,9 @@ class TestExactMutualInformation:
         (12, 8, binary_prior(), 0.25),
         (12, 8, binary_prior(), 0.02),
         (7, 5, pam4_prior(), 0.5),
+        (10, 4, binary_prior(), 0.01),
     ], ids=["binary-K10", "skewed-K6", "binary-K12-split",
-            "binary-K12-guarded", "4pam-K7-uneven"])
+            "binary-K12-guarded", "4pam-K7-uneven", "binary-K10-unsplit"])
     def test_matches_replayed_enumeration_oracle(self, K, L, prior,
                                                  noise_var):
         """Mean and standard error equal an independent replay of the
@@ -276,7 +277,9 @@ class TestExactMutualInformation:
         (sigma2 0.25); at sigma2 0.02 an even split's cross term spans
         784 nats, so the range guard must take a smaller one (1 user
         against 11).  4-PAM at K = 7 splits into halves of 64 and 256
-        codewords."""
+        codewords.  At K = 10, L = 4, sigma2 0.01 the guard falls back to
+        K_A = 0, and the 1,024 codewords are scored in 128-output blocks,
+        two per chunk."""
         s = gen_iid_spreading(4, K, L)
         assert_matches_replay(s, prior, noise_var, 1_300, 9,
                               se_rel=1e-10, se_abs=0.0)
@@ -320,6 +323,19 @@ class TestExactMutualInformation:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_memory_bounded_at_benchmark_shape(self):
+        """Two levels at K = 12, L = 8 with 10,000 samples, the shape of a
+        benchmarked simulate call, peak below 1.5 MiB traced: inside the
+        5% (about 1.9 MiB) by which that benchmark lets peak memory grow."""
+        s = gen_iid_spreading(0, 12, 8)
+        tracemalloc.start()
+        try:
+            exact_mutual_information(s, binary_prior(), [0.25, 1.0], 10_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     def test_memory_bounded_at_enumeration_limit(self):
         """At 2^20 codewords each half-codebook is built one user at a
