@@ -27,8 +27,8 @@ COLUMN_NORM_TOL = 1e-10
 GRAM_TOL = 1e-9
 ENUMERATION_LIMIT = 2 ** 20
 _CHUNK = 256
-# doubles per half of a block's codebook scores (1 MiB); the two buffers
-# of a pass hold at most three times this
+# doubles per half of a block's codebook scores (1 MiB); a block's scores
+# and its kernel product hold at most three times this
 _BLOCK = 2 ** 17
 # doubles of kernels and per-sample values the levels of one pass hold
 # together (8 MiB); a level that does not fit alone gets a pass of its own
@@ -213,8 +213,9 @@ def ks_distance(samples, dist: EigenDistribution) -> float:
 def gaussian_exact_mi(S: SpreadingMatrix, noise_var: float) -> float:
     """Per-user Gaussian-input mutual information
     ``log det(I + S S^T / noise_var) / (2K)`` in nats."""
-    if not noise_var > 0.0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    if not 0.0 < noise_var < math.inf:
+        raise ValueError(f"noise variance must be positive and finite, "
+                         f"got {noise_var}")
     gram = S.entries @ S.entries.T
     sign, logdet = np.linalg.slogdet(np.eye(S.L) + gram / noise_var)
     if sign <= 0:
@@ -241,22 +242,13 @@ class _Split(NamedTuple):
     """The codebook sum at one noise level, split between the first
     ``K_A`` users and the rest: the score matrix ``(M^K_A + M^K_B, L + 1)``
     of both halves, each channel image over the noise variance with its
-    score bias appended, the first half's size ``M^K_A``, and the kernel
-    ``exp(M - max_b M)``."""
+    score bias appended, the first half's size ``M^K_A``, the kernel
+    ``exp(M - max_b M)`` and the outputs per block."""
 
     scores: np.ndarray
     size_a: int
     kernel: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        """Outputs per block: a fixed budget of ``_BLOCK`` doubles per
-        half, and never more than one chunk."""
-        return min(_CHUNK, max(1, _BLOCK // self.width))
-
-    @property
-    def width(self) -> int:
-        return max(self.size_a, self.scores.shape[0] - self.size_a)
+    rows: int
 
 
 def _split_sum(S: SpreadingMatrix, values: np.ndarray,
@@ -282,37 +274,29 @@ def _split_sum(S: SpreadingMatrix, values: np.ndarray,
     kernel = np.exp(cross, out=cross)                # (M^K_A, M^K_B)
     scores = np.hstack([np.vstack([img_a, img_b]) / noise_var,
                         np.concatenate([bias_a, bias_b])[:, None]])
-    return _Split(scores, bias_a.size, kernel)
+    # a fixed budget of _BLOCK doubles per half, and never more than a chunk
+    rows = min(_CHUNK, max(1, _BLOCK // max(bias_a.size, bias_b.size)))
+    return _Split(scores, bias_a.size, kernel, rows)
 
 
-def _log_mixture(y1: np.ndarray, split: _Split,
-                 work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``log sum_c exp(score_c(y))`` per column of ``y1``, the outputs
-    ``y^T`` over a row of ones, at one noise level, in column blocks
-    scored in the two buffers ``work``."""
-    scores, size_a, kernel = split
-    rows = split.rows
-    log_mix = np.empty(y1.shape[1])
-    for lo in range(0, y1.shape[1], rows):
-        y_blk = y1[:, lo:lo + rows]
-        n = y_blk.shape[1]
-        # both halves' scores, biases included, in one product
-        s = work[0][:scores.shape[0] * n].reshape(-1, n)
-        np.matmul(scores, y_blk, out=s)
-        u, v = s[:size_a], s[size_a:]
-        tops = u.max(axis=0)
-        u -= tops
-        top = v.max(axis=0)
-        v -= top
-        tops += top
-        np.exp(s, out=s)
-        # sum_ab u_a kernel_ab v_b, contracted over the larger half first;
-        # unsplit (K_A = 0) this is one pass over v
-        vk = work[1][:size_a * n].reshape(-1, n)
-        np.matmul(kernel, v, out=vk)
-        vk *= u
-        log_mix[lo:lo + n] = tops + np.log(vk.sum(axis=0))
-    return log_mix
+def _log_block(y_blk: np.ndarray, split: _Split) -> np.ndarray:
+    """``log sum_c exp(score_c(y))`` per column of ``y_blk``, the outputs
+    ``y^T`` over a row of ones, at one noise level."""
+    scores, size_a, kernel, _ = split
+    # both halves' scores, biases included, in one product
+    s = scores @ y_blk
+    u, v = s[:size_a], s[size_a:]
+    tops = u.max(axis=0)
+    u -= tops
+    top = v.max(axis=0)
+    v -= top
+    tops += top
+    np.exp(s, out=s)
+    # sum_ab u_a kernel_ab v_b, contracted over the larger half first;
+    # unsplit (K_A = 0) this is one pass over v
+    vk = kernel @ v
+    vk *= u
+    return tops + np.log(vk.sum(axis=0))
 
 
 def _pass_estimates(S: SpreadingMatrix, prior: InputPrior,
@@ -323,8 +307,6 @@ def _pass_estimates(S: SpreadingMatrix, prior: InputPrior,
     values = prior._values
     log_probs = np.log(prior._probs)
     splits = [_split_sum(S, values, log_probs, level) for level in levels]
-    block = max(sp.rows * sp.width for sp in splits)
-    work = np.empty(2 * block), np.empty(block)
     # an input's index is the number of the first M - 1 cumulative
     # probabilities at or below its uniform draw
     cum = np.cumsum(prior._probs)[:-1]
@@ -344,8 +326,11 @@ def _pass_estimates(S: SpreadingMatrix, prior: InputPrior,
             ll_true = -0.5 * ((sigma * noise) ** 2).sum(axis=1) / noise_var
             ysq = 0.5 * (y * y).sum(axis=1) / noise_var
             y1[:-1, :b] = y.T
-            out[pos:pos + b] = (ll_true + ysq
-                                - _log_mixture(y1[:, :b], split, work)) / S.K
+            # each block's temporaries are released before the next
+            log_mix = np.concatenate([
+                _log_block(y1[:, lo:min(b, lo + split.rows)], split)
+                for lo in range(0, b, split.rows)])
+            out[pos:pos + b] = (ll_true + ysq - log_mix) / S.K
     estimates = []
     for row in vals:
         mean = float(np.sum(np.sort(row))) / n_samples
@@ -375,9 +360,9 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     the cross term ``M`` fixed per level; ``K_A = 0`` is the unsplit sum.
     Outputs are scored in column blocks, one column per sample: one
     product gives both halves' scores, biases included.  Memory per level
-    of a pass is ``O((M^K_A + M^K_B) L + M^K + n_samples)``, plus two
-    column-block buffers of at most ``3 * 2**17`` doubles together, shared
-    by the pass.
+    of a pass is ``O((M^K_A + M^K_B) L + M^K + n_samples)``, plus the
+    temporaries of one column block, at most ``3 * 2**17`` doubles, which
+    are released before the next block is scored.
     """
     if prior.kind not in (BINARY, DISCRETE):
         raise ValueError("exact enumeration needs a discrete input prior")
@@ -430,6 +415,9 @@ def read_matrix(path) -> SpreadingMatrix:
         if not header.startswith("# "):
             raise ValueError(f"malformed matrix header: {header!r}")
         fields = dict(item.split("=", 1) for item in header[2:].split())
+        for key in ("K", "L", "kind"):
+            if key not in fields:
+                raise ValueError(f"matrix header {header!r} has no {key} field")
         rows = [np.fromstring(line, sep=" ") for line in fh if line.strip()]
     entries = np.vstack(rows)
     if entries.shape != (int(fields["L"]), int(fields["K"])):

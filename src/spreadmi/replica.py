@@ -91,8 +91,9 @@ def _brentq(f, xa, xb):
     A line-for-line port of the reference C ``brentq`` with ``xtol=1e-300``,
     ``rtol = 4 eps`` and at most 100 iterations: the same state update,
     step test and stopping rule, so roots and iteration counts agree with
-    that routine bit for bit.  A NaN value of ``f``, a bracket without a
-    sign change or a missed convergence raises ``NumericsError``.
+    that routine bit for bit.  An end where ``f`` is exactly zero is
+    returned after no iteration.  A NaN value of ``f``, a bracket without
+    a sign change or a missed convergence raises ``NumericsError``.
     """
     # roots span many decades: stop on the relative tolerance only
     xtol, rtol, maxiter = 1e-300, 4.0 * math.ulp(1.0), 100
@@ -200,15 +201,12 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     d = [seen[s][1] for s in snr]
     # d <= 0 holds at the lower end, so a zero there is a root too
     brackets = [(snr[0], snr[0])] if d[0] == 0.0 else []
-    for i in range(len(snr) - 1):
-        if d[i] < 0.0 < d[i + 1]:
-            brackets.append((snr[i], snr[i + 1]))
-        elif d[i] < 0.0 and d[i + 1] == 0.0:
-            brackets.append((snr[i + 1], snr[i + 1]))
+    brackets += [(snr[i], snr[i + 1]) for i in range(len(snr) - 1)
+                 if d[i] < 0.0 <= d[i + 1]]
 
     solutions = []
     for a, b in brackets:
-        root, steps = (a, 0) if a == b else _brentq(defect, a, b)
+        root, steps = _brentq(defect, a, b)
         err, d_root = seen[root]
         info = _information_at(spec, err, root)
         if not info > 0.0:

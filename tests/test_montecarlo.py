@@ -171,6 +171,11 @@ class TestGaussianExactMi:
         s = gen_wbe_spreading(1, 6, 4)
         assert gaussian_exact_mi(s, 1e9) == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("noise_var", [0.0, math.inf, math.nan])
+    def test_rejects_noise_outside_positive_reals(self, noise_var):
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_exact_mi(gen_wbe_spreading(1, 6, 4), noise_var)
+
     def test_iid_close_to_asymptotic_value(self):
         s = gen_iid_spreading(4, 512, 256)
         finite = gaussian_exact_mi(s, 0.5)
@@ -339,7 +344,9 @@ class TestExactMutualInformation:
 
     def test_memory_bounded_at_enumeration_limit(self):
         """At 2^20 codewords each half-codebook is built one user at a
-        time, so the peak is the 2^10 x 2^10 cross kernel plus blocks."""
+        time, so the peak is the 2^10 x 2^10 cross kernel (8 MiB) plus one
+        block's temporaries (3 MiB); blocks whose temporaries overlap
+        would exceed 12 MiB."""
         s = gen_iid_spreading(0, 20, 8)
         tracemalloc.start()
         try:
@@ -347,7 +354,7 @@ class TestExactMutualInformation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2 ** 20
+        assert peak < 12 * 2 ** 20
 
     def test_memory_of_level_passes_is_bounded(self):
         """At 2^20 codewords a level's kernel fills the pass budget, so
@@ -385,3 +392,14 @@ class TestMatrixDump:
         write_matrix(path, s)
         header = path.read_text().splitlines()[0]
         assert header == "# K=4 L=2 kind=iid seed=3"
+
+    @pytest.mark.parametrize("field", ["K", "L", "kind"])
+    def test_header_without_field_raises_value_error(self, tmp_path, field):
+        path = tmp_path / "matrix.txt"
+        write_matrix(path, gen_iid_spreading(3, 4, 2))
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(item for item in lines[0].split()
+                            if not item.startswith(field + "="))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"no {field} field"):
+            read_matrix(path)
