@@ -28,6 +28,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
+def _alphabet_arrays(alphabet) -> tuple[np.ndarray, np.ndarray]:
+    """Values and probabilities of ``(value, probability)`` pairs; raises
+    unless all are finite and every probability is positive."""
+    vals = np.array([x for x, _ in alphabet], dtype=float)
+    probs = np.array([p for _, p in alphabet], dtype=float)
+    if not (np.isfinite(vals).all() and np.isfinite(probs).all()):
+        raise ValueError("alphabet values and probabilities must be finite")
+    if np.any(probs <= 0.0):
+        raise ValueError("alphabet probabilities must be positive")
+    return vals, probs
+
+
 @dataclass(frozen=True, eq=False)
 class InputPrior:
     """Scalar input law: zero mean, unit variance.
@@ -48,10 +60,7 @@ class InputPrior:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if not self.alphabet:
             raise ValueError("discrete prior needs a non-empty alphabet")
-        probs = np.array([p for _, p in self.alphabet], dtype=float)
-        vals = np.array([x for x, _ in self.alphabet], dtype=float)
-        if np.any(probs <= 0.0):
-            raise ValueError("alphabet probabilities must be positive")
+        vals, probs = _alphabet_arrays(self.alphabet)
         if abs(probs.sum() - 1.0) > PRIOR_TOL:
             raise ValueError(f"alphabet probabilities sum to {probs.sum()!r}, not 1")
         mean = float(vals @ probs)
@@ -91,27 +100,18 @@ def binary_prior() -> InputPrior:
     return InputPrior(BINARY, ((-1.0, 0.5), (1.0, 0.5)))
 
 
-def discrete_prior(alphabet) -> InputPrior:
-    """Discrete prior from ``(value, probability)`` pairs; must already be
-    zero-mean and unit-variance."""
-    return InputPrior(DISCRETE, tuple((float(x), float(p)) for x, p in alphabet))
-
-
 def normalized_discrete_prior(alphabet) -> InputPrior:
     """Discrete prior with the alphabet affinely rescaled to zero mean and
     unit variance.  Raises if the alphabet is a single point (zero
     variance cannot be rescaled)."""
-    vals = np.array([x for x, _ in alphabet], dtype=float)
-    probs = np.array([p for _, p in alphabet], dtype=float)
-    if np.any(probs <= 0.0):
-        raise ValueError("alphabet probabilities must be positive")
+    vals, probs = _alphabet_arrays(alphabet)
     probs = probs / probs.sum()
     mean = float(vals @ probs)
     std = math.sqrt(float((vals - mean) ** 2 @ probs))
     if std == 0.0:
         raise ValueError("single-point alphabet cannot be normalized to unit variance")
     vals = (vals - mean) / std
-    return discrete_prior(zip(vals, probs))
+    return InputPrior(DISCRETE, tuple(zip(vals.tolist(), probs.tolist())))
 
 
 def _check_snr(snr: float) -> float:

@@ -409,20 +409,39 @@ def write_matrix(path, S: SpreadingMatrix) -> None:
 
 
 def read_matrix(path) -> SpreadingMatrix:
-    """Inverse of :func:`write_matrix`."""
+    """Inverse of :func:`write_matrix`.  A malformed file raises
+    ``ValueError`` naming the file and the bad header item or body."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError(f"malformed matrix header: {header!r}")
-        fields = dict(item.split("=", 1) for item in header[2:].split())
-        for key in ("K", "L", "kind"):
-            if key not in fields:
-                raise ValueError(f"matrix header {header!r} has no {key} field")
-        rows = [np.fromstring(line, sep=" ") for line in fh if line.strip()]
-    entries = np.vstack(rows)
-    if entries.shape != (int(fields["L"]), int(fields["K"])):
-        raise ValueError(
-            f"matrix body {entries.shape} does not match header "
-            f"(L={fields['L']}, K={fields['K']})")
-    seed = None if fields.get("seed") in (None, "none") else int(fields["seed"])
+        body = [line.split() for line in fh if line.strip()]
+    if not header.startswith("# "):
+        raise ValueError(f"{path}: malformed matrix header {header!r}")
+    fields = {}
+    for item in header[2:].split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: matrix header item {item!r} is not key=value")
+        fields[key] = value
+    for key in ("K", "L", "kind"):
+        if key not in fields:
+            raise ValueError(f"{path}: matrix header {header!r} has no {key} field")
+
+    def integer(key: str) -> int:
+        try:
+            return int(fields[key])
+        except ValueError:
+            raise ValueError(f"{path}: matrix header item {key}={fields[key]} "
+                             "is not an integer") from None
+
+    shape = (integer("L"), integer("K"))
+    seed = None if fields.get("seed", "none") == "none" else integer("seed")
+    if not body:
+        raise ValueError(f"{path}: matrix header {header!r} has no body")
+    try:
+        entries = np.array([[float(v) for v in row] for row in body])
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable matrix body: {exc}") from None
+    if entries.shape != shape:
+        raise ValueError(f"{path}: matrix body {entries.shape} does not match "
+                         f"header (L={shape[0]}, K={shape[1]})")
     return SpreadingMatrix(entries=entries, kind=fields["kind"], seed=seed)

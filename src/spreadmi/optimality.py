@@ -3,9 +3,8 @@ competitors.
 
 The checks are grid-based falsification attempts, not symbolic proofs:
 R-transform dominance on the interval fixed by the solved system,
-Hilbert-transform dominance below the support, the tangent-line gap that
-drives the argument, and end-to-end mutual-information comparison against
-randomly sampled admissible laws.
+Hilbert-transform dominance below the support, and end-to-end
+mutual-information comparison against randomly sampled admissible laws.
 """
 
 from __future__ import annotations
@@ -86,24 +85,6 @@ def hilbert_dominance(candidate: EigenDistribution, gamma_grid) -> DominanceRepo
     grid = np.asarray(gamma_grid, dtype=float)
     return DominanceReport(grid, hilbert(candidate, grid),
                            hilbert(wbe_reference(candidate.beta), grid))
-
-
-def tangent_gap(gamma: float, beta: float, lam):
-    """Gap ``1/(gamma - lam) - f(lam)`` between the resolvent kernel and its
-    tangent line at ``lam = beta``.
-
-    Non-positive for every ``lam >= 0 > gamma`` by concavity of the
-    kernel, with equality exactly at the tangency point; this is the
-    pointwise inequality behind WBE optimality.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if not gamma < 0.0:
-        raise ValueError(f"gamma must be negative, got {gamma}")
-    if np.any(lam < 0.0):
-        raise ValueError("lam must be non-negative")
-    tangent = 1.0 / (gamma - beta) + (lam - beta) / (gamma - beta) ** 2
-    out = 1.0 / (gamma - lam) - tangent
-    return out if out.ndim else float(out)
 
 
 def sample_candidate_spectrum(seed: int, beta: float, n_atoms: int) -> EigenDistribution:

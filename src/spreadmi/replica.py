@@ -204,6 +204,9 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     brackets += [(snr[i], snr[i + 1]) for i in range(len(snr) - 1)
                  if d[i] < 0.0 <= d[i + 1]]
 
+    # a fixed point's free energy exceeds its information by this constant
+    offset = ((1.0 + math.log(2.0 * math.pi * spec.noise_var))
+              / (2.0 * spec.spectrum.beta))
     solutions = []
     for a, b in brackets:
         root, steps = _brentq(defect, a, b)
@@ -216,14 +219,9 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
                 "has lost every digit to cancellation")
         solutions.append(SaddleSolution(
             mmse=err, snr=root, iterations=steps, residual=abs(d_root),
-            free_energy=info + _offset(spec), mutual_information=info))
+            free_energy=info + offset, mutual_information=info))
     solutions.sort(key=lambda s: s.free_energy)
     return solutions
-
-
-def _offset(spec: SystemSpec) -> float:
-    beta = spec.spectrum.beta
-    return (1.0 + math.log(2.0 * math.pi * spec.noise_var)) / (2.0 * beta)
 
 
 def _information_at(spec: SystemSpec, err: float, snr: float) -> float:
@@ -231,17 +229,6 @@ def _information_at(spec: SystemSpec, err: float, snr: float) -> float:
     ent = output_entropy(spec.prior, snr)
     return (-0.5 * snr * err - 0.5 * g_val
             - 0.5 * math.log(2.0 * math.pi / snr) - 0.5 + ent)
-
-
-def free_energy(spec: SystemSpec, err: float, snr: float) -> float:
-    """Free-energy functional at arbitrary ``(E, snr)``, not necessarily a
-    fixed point.  At a fixed point it exceeds the mutual information by
-    exactly ``(1 + log(2 pi noise_var)) / (2 beta)``."""
-    if not 0.0 <= err <= 1.0:
-        raise ValueError(f"residual error must lie in [0, 1], got {err}")
-    if not snr > 0.0:
-        raise ValueError(f"inverse noise level must be positive, got {snr}")
-    return _information_at(spec, err, snr) + _offset(spec)
 
 
 def mutual_information(spec: SystemSpec) -> SaddleSolution:

@@ -8,9 +8,9 @@ import pytest
 from scipy import integrate
 
 from spreadmi import channel
-from spreadmi import (InputPrior, binary_prior, discrete_prior, gaussian_prior,
-                      mmse, normalized_discrete_prior, output_density,
-                      output_entropy, posterior_mean, scalar_mutual_information)
+from spreadmi import (InputPrior, binary_prior, gaussian_prior, mmse,
+                      normalized_discrete_prior, output_density, output_entropy,
+                      posterior_mean, scalar_mutual_information)
 
 # binary mmse at unit inverse noise, from the analytic reduction
 # 1 - integral of phi(z) tanh(1 + z) dz (Gauss-Hermite evaluated, and
@@ -139,11 +139,14 @@ class TestPriorConstruction:
 
     def test_discrete_must_be_standardized(self):
         with pytest.raises(ValueError, match="mean 0 and variance 1"):
-            discrete_prior([(-1.0, 0.25), (1.0, 0.75)])
+            InputPrior("discrete", ((-1.0, 0.25), (1.0, 0.75)))
         with pytest.raises(ValueError, match="sum"):
             InputPrior("discrete", ((-1.0, 0.5), (1.0, 0.4)))
         with pytest.raises(ValueError, match="positive"):
             InputPrior("discrete", ((-1.0, 1.5), (1.0, -0.5)))
+        # NaN fails every comparison, so only a finiteness check stops it
+        with pytest.raises(ValueError, match="finite"):
+            InputPrior("discrete", ((-1.0, math.nan), (1.0, 0.5)))
 
     def test_normalization_on_load(self):
         p = normalized_discrete_prior([(0.0, 0.5), (10.0, 0.5)])
@@ -205,7 +208,7 @@ class TestPosteriorMean:
         assert np.all(np.abs(m) <= hi + 1e-12)
 
     def test_binary_fast_path_matches_generic(self):
-        generic = discrete_prior([(-1.0, 0.5), (1.0, 0.5)])
+        generic = InputPrior("discrete", ((-1.0, 0.5), (1.0, 0.5)))
         u = np.linspace(-4.0, 4.0, 31)
         np.testing.assert_allclose(posterior_mean(binary_prior(), 1.7, u),
                                    posterior_mean(generic, 1.7, u), atol=1e-12)

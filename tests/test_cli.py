@@ -432,6 +432,14 @@ class TestExitCodes:
                       "--ebn0-grid=-inf"], id="mi-sweep-ebn0-minus-inf"),
         pytest.param(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",
                       "--ebn0-grid", "1e10"], id="mi-sweep-ebn0-overflow"),
+        # non-finite prior alphabets: NaN slips past every comparison
+        pytest.param(["mi-sweep", "--prior", "discrete:[[-1, NaN], [1, 0.5]]",
+                      "--spectrum", "wbe", "--beta", "1.5",
+                      "--sigma2-grid", "0.5"], id="mi-sweep-prior-nan"),
+        pytest.param(["mi-sweep", "--prior",
+                      "discrete:[[-1, 0.5], [Infinity, 0.5]]",
+                      "--spectrum", "wbe", "--beta", "1.5",
+                      "--sigma2-grid", "0.5"], id="mi-sweep-prior-infinity"),
     ])
     def test_out_of_domain_input_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "x"

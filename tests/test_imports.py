@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -24,6 +25,15 @@ def private_imports(path):
             if isinstance(node, ast.ImportFrom)
             and (node.level > 0 or (node.module or "").split(".")[0] == "spreadmi")
             for alias in node.names if alias.name.startswith("_")]
+
+
+def test_all_lists_exactly_the_public_names():
+    """A name removed from a module but left in ``__all__`` fails here, and
+    so does a public import that ``__all__`` does not list."""
+    public = [name for name, value in vars(spreadmi).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)]
+    assert sorted(spreadmi.__all__) == sorted(public)
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

@@ -403,3 +403,20 @@ class TestMatrixDump:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"no {field} field"):
             read_matrix(path)
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("# K=2 L=1 kind=iid seed", "0.6 0.8", "item 'seed' is not key=value"),
+        ("# K=x L=1 kind=iid seed=0", "0.6 0.8", "item K=x is not an integer"),
+        ("# K=2 L=1 kind=iid seed=none", "", "has no body"),
+        ("# K=2 L=1 kind=iid seed=none", "0.6 x", "unreadable matrix body"),
+        ("# K=2 L=2 kind=iid seed=none", "0.6 0.8\n0.8", "unreadable matrix body"),
+        ("# K=2 L=2 kind=iid seed=none", "0.6 0.8", r"body \(1, 2\) does not"),
+    ], ids=["item-without-value", "non-integer", "no-body", "non-number",
+            "ragged", "wrong-shape"])
+    def test_malformed_file_error_names_path_and_item(self, tmp_path, header,
+                                                      body, message):
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"{header}\n{body}\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_matrix(path)
+        assert str(info.value).startswith(f"{path}: ")

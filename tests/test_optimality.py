@@ -1,14 +1,12 @@
 """Dominance certificates for the WBE law against admissible competitors."""
 
-import math
-
 import numpy as np
 import pytest
 
 from spreadmi import (SystemSpec, binary_prior, hilbert, hilbert_dominance,
                       make_discrete_law, make_mp_law, make_wbe_law,
                       mutual_information, r_dominance, r_transform,
-                      sample_candidate_spectrum, tangent_gap)
+                      sample_candidate_spectrum)
 
 GAMMA_GRID = -np.geomspace(1e3, 1e-3, 200)
 
@@ -16,34 +14,6 @@ GAMMA_GRID = -np.geomspace(1e3, 1e-3, 200)
 def binary_spec(spectrum, noise_var=0.5):
     return SystemSpec(prior=binary_prior(), spectrum=spectrum,
                       noise_var=noise_var)
-
-
-class TestTangentGap:
-    def test_zero_at_tangency_point(self):
-        assert tangent_gap(-1.0, 1.5, 1.5) == 0.0
-        assert tangent_gap(-3.0, 2.0, 2.0) == 0.0
-
-    def test_worked_example(self):
-        # 1/(-1) - [1/(-2.5) + (0 - 1.5)/6.25] = -1 + 0.4 + 0.24
-        assert tangent_gap(-1.0, 1.5, 0.0) == pytest.approx(-0.36, abs=1e-15)
-
-    def test_strictly_negative_away_from_tangency(self):
-        assert tangent_gap(-2.0, 1.5, 3.0) < 0.0
-
-    def test_nonpositive_on_dense_grid(self):
-        for beta in (1.2, 1.5, 2.0):
-            for gamma in -np.geomspace(50.0, 1e-3, 40):
-                lam = np.linspace(0.0, 10.0 * beta, 400)
-                gaps = tangent_gap(float(gamma), beta, lam)
-                assert np.all(gaps <= 1e-15)
-                zero_at = lam[np.isclose(gaps, 0.0, atol=1e-13)]
-                assert np.all(np.abs(zero_at - beta) < 0.05 * beta)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            tangent_gap(0.5, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            tangent_gap(-1.0, 1.5, -0.1)
 
 
 class TestRDominance:

@@ -8,8 +8,8 @@ import pytest
 from scipy import integrate, optimize
 
 from spreadmi import (NumericsError, SystemSpec, as_generic, binary_prior,
-                      free_energy, gaussian_prior, make_discrete_law,
-                      make_mp_law, make_wbe_law, mmse, mutual_information,
+                      gaussian_prior, make_discrete_law, make_mp_law,
+                      make_wbe_law, mmse, mutual_information,
                       normalized_discrete_prior, r_transform,
                       sample_candidate_spectrum, solve_saddle)
 from spreadmi import replica
@@ -283,8 +283,7 @@ class TestFreeEnergy:
             spec = SystemSpec(prior=binary_prior(), spectrum=make_wbe_law(1.5),
                               noise_var=noise_var)
             sol = mutual_information(spec)
-            fe = free_energy(spec, sol.mmse, sol.snr)
-            assert fe - offset(1.5, noise_var) == pytest.approx(
+            assert sol.free_energy - offset(1.5, noise_var) == pytest.approx(
                 sol.mutual_information, abs=1e-10)
 
     def test_gaussian_wbe_value(self):
@@ -298,18 +297,8 @@ class TestFreeEnergy:
         noise_var = 1e6
         spec = SystemSpec(prior=binary_prior(), spectrum=make_wbe_law(1.5),
                           noise_var=noise_var)
-        from spreadmi.spectra import r_transform
-        snr = r_transform(spec.spectrum, -1.0 / noise_var) / noise_var
-        fe = free_energy(spec, 1.0, snr)
-        assert fe == pytest.approx(offset(1.5, noise_var), abs=1e-5)
-
-    def test_rejects_out_of_range_arguments(self):
-        spec = SystemSpec(prior=binary_prior(), spectrum=make_wbe_law(1.5),
-                          noise_var=0.5)
-        with pytest.raises(ValueError):
-            free_energy(spec, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            free_energy(spec, 0.5, 0.0)
+        assert mutual_information(spec).free_energy == pytest.approx(
+            offset(1.5, noise_var), abs=1e-5)
 
 
 class TestInformationProperties:

@@ -1,4 +1,6 @@
-"""Line counts of the ``spreadmi`` package, per module and in total.
+"""Line counts of the ``spreadmi`` package, per module and in total, and
+the total of the test suite under ``tests/``, so that code moved from the
+package into the tests shows as a move.
 
 ``lines`` is what ``wc -l`` reports; ``code`` leaves out blank lines,
 comment-only lines and docstrings (of modules, classes and functions).
@@ -41,6 +43,8 @@ def main(argv):
     rows = [(path.name, *count(path))
             for path in sorted((root / "src" / "spreadmi").glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    tests = [count(path) for path in sorted((root / "tests").rglob("*.py"))]
+    rows.append(("tests/", sum(t[0] for t in tests), sum(t[1] for t in tests)))
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
     for name, lines, code in rows:
         print(f"{name:<16}{lines:>7}{code:>7}")
