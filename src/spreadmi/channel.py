@@ -106,11 +106,13 @@ def normalized_discrete_prior(alphabet) -> InputPrior:
     variance cannot be rescaled)."""
     vals, probs = _alphabet_arrays(alphabet)
     probs = probs / probs.sum()
-    mean = float(vals @ probs)
-    std = math.sqrt(float((vals - mean) ** 2 @ probs))
+    centred = vals - float(vals @ probs)
+    # an exact power-of-two scale keeps the squares from overflow and underflow
+    centred = np.ldexp(centred, -math.frexp(np.abs(centred).max())[1])
+    std = math.sqrt(float(centred ** 2 @ probs))
     if std == 0.0:
         raise ValueError("single-point alphabet cannot be normalized to unit variance")
-    vals = (vals - mean) / std
+    vals = centred / std
     return InputPrior(DISCRETE, tuple(zip(vals.tolist(), probs.tolist())))
 
 

@@ -50,7 +50,8 @@ class SaddleSolution:
     """A fixed point with its diagnostics and information quantities.
 
     ``mmse`` is the residual error ``E`` in ``[0, 1]``; ``snr`` the
-    effective inverse noise level; ``residual`` the remaining fixed-point
+    effective inverse noise level; ``iterations`` the defect evaluations
+    inside the root's bracket; ``residual`` the remaining fixed-point
     defect; ``free_energy`` and ``mutual_information`` are in nats.
     """
 
@@ -84,19 +85,20 @@ def _suspect_dips(d):
     return out
 
 
-def _brentq(f, xa, xb):
+def _chandrupatla(f, xa, xb):
     """Root of ``f`` on the sign-changing bracket ``[xa, xb]`` and the
-    iteration count, by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of the reference C ``brentq`` with ``xtol=1e-300``,
-    ``rtol = 4 eps`` and at most 100 iterations: the same state update,
-    step test and stopping rule, so roots and iteration counts agree with
-    that routine bit for bit.  An end where ``f`` is exactly zero is
-    returned after no iteration.  A NaN value of ``f``, a bracket without
-    a sign change or a missed convergence raises ``NumericsError``.
+    number of evaluations inside it, by Chandrupatla's method (Adv. Eng.
+    Software 28(3), 1997): a secant first step, then inverse quadratic
+    interpolation where the ``xi``/``phi`` test allows it and bisection
+    otherwise, each at least ``2 eps |x|`` inside the bracket, until the
+    bracket is narrower than ``4 eps |x|`` (roots span many decades).
+    ``a`` is the newest point, ``b`` the end of opposite sign and ``c``
+    the point dropped from the bracket.  An end where ``f`` is exactly
+    zero is returned after no evaluation; a NaN value, a bracket without
+    a sign change or 100 evaluations without convergence raise
+    ``NumericsError``.
     """
-    # roots span many decades: stop on the relative tolerance only
-    xtol, rtol, maxiter = 1e-300, 4.0 * math.ulp(1.0), 100
+    eps, max_evals = math.ulp(1.0), 100
 
     def call(x):
         fx = float(f(x))
@@ -106,55 +108,31 @@ def _brentq(f, xa, xb):
                 "the root search cannot continue")
         return fx
 
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre, 0
-    if fcur == 0.0:
-        return xcur, 0
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NumericsError(
-            f"no sign change of the defect on [{xa}, {xb}]")
-    for i in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, i
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    a, b, fa, fb = xa, xb, call(xa), call(xb)
+    if not min(fa, fb) <= 0.0 <= max(fa, fb):
+        raise NumericsError(f"no sign change of the defect on [{xa}, {xb}]")
+    for n in range(max_evals + 1):
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tol = 2.0 * eps * abs(xm)
+        if fm == 0.0 or 2.0 * tol > abs(b - a):
+            return xm, n
+        tl = tol / abs(b - a)
+        if n == 0:
+            t = fa / (fa - fb)
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+                 if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi else 0.5)
+        xt = a + min(1.0 - tl, max(tl, t)) * (b - a)
+        ft = call(xt)
+        if (ft < 0.0) == (fa < 0.0):
+            c, fc = a, fa
         else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = call(xcur)
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = xt, ft
     raise NumericsError(
-        f"Brent's method did not converge in {maxiter} iterations "
+        f"the root search did not converge in {max_evals} evaluations "
         f"on [{xa}, {xb}]")
 
 
@@ -168,12 +146,13 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
     non-negative at the upper one.  ``d`` is scanned on a geometric grid
     over that interval, the grid is refined around turns of ``d`` that
     approach zero without crossing it, and each upward crossing (the
-    roots that damped iteration converges to) is solved with Brent's
-    method.  ``d`` is evaluated once per snr into one table, whose sorted
-    entries are the scan; each root's ``E`` and ``residual`` (``|d|``)
-    come from its entry, and ``iterations`` is Brent's iteration count (0
-    for an exact zero at a scan point).  A root whose mutual information
-    is not positive, which no finite noise variance admits, raises
+    roots that damped iteration converges to) is solved by Chandrupatla's
+    bracketing method to ``4 eps`` relative.  ``d`` is evaluated once per
+    snr into one table, whose sorted entries are the scan; each root's
+    ``E`` and ``residual`` (``|d|``) come from its entry, and
+    ``iterations`` counts the evaluations inside its bracket (0 for an
+    exact zero at a scan point).  A root whose mutual information is not
+    positive, which no finite noise variance admits, raises
     ``NumericsError``.
     """
     seen = {}  # snr -> (E, d)
@@ -209,7 +188,7 @@ def solve_saddle(spec: SystemSpec) -> list[SaddleSolution]:
               / (2.0 * spec.spectrum.beta))
     solutions = []
     for a, b in brackets:
-        root, steps = _brentq(defect, a, b)
+        root, steps = _chandrupatla(defect, a, b)
         err, d_root = seen[root]
         info = _information_at(spec, err, root)
         if not info > 0.0:

@@ -1,6 +1,7 @@
 """Scalar-channel functionals against quadrature and Monte Carlo oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -154,6 +155,13 @@ class TestPriorConstruction:
         probs = np.array([q for _, q in p.alphabet])
         assert float(vals @ probs) == pytest.approx(0.0, abs=1e-12)
         assert float(vals ** 2 @ probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_normalization_at_extreme_scales(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = normalized_discrete_prior([(-scale, 0.5), (scale, 0.5)])
+        assert p.alphabet == ((-1.0, 0.5), (1.0, 0.5))
 
     def test_single_point_alphabet_rejected(self):
         with pytest.raises(ValueError, match="single-point"):

@@ -146,6 +146,19 @@ class TestMiSweep:
         assert float(rows[0]["C"]) == pytest.approx(0.45075083582577746,
                                                     abs=1e-8)
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_extreme_scale_alphabet_writes_binary_c(self, tmp_path, scale):
+        # the loader's variance neither overflows nor underflows
+        cells = []
+        for prior in ("binary", f"discrete:[[-{scale},0.5],[{scale},0.5]]"):
+            out = tmp_path / "x.csv"
+            code = main(["mi-sweep", "--prior", prior, "--spectrum", "wbe",
+                         "--beta", "1.5", "--sigma2-grid", "0.5",
+                         "--out", str(out)])
+            assert code == 0
+            cells.append(rows_of(out)[1][0]["C"])
+        assert cells[0] == cells[1]
+
     @pytest.mark.parametrize("prior, spectra, entropy", [
         pytest.param("discrete:[[0,0.01],[1000,0.98],[100000,0.01]]", ["mp", "wbe"],
                      -(0.98 * math.log(0.98) + 0.02 * math.log(0.01)), id="wide"),
@@ -552,13 +565,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert out.exists()
 
-    def test_import_loads_no_scipy(self):
-        """The runtime needs only numpy; scipy is a test oracle, and a cold
-        start of the CLI does not pay for importing it."""
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, spreadmi.cli; print(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True)
+    def test_import_loads_no_scipy(self, tmp_path):
+        """The runtime needs only numpy; scipy is a test oracle, and neither
+        a cold start of the CLI nor a small run of the three solving
+        commands pays for importing it or ``numpy.ma``."""
+        out = str(tmp_path / "run")
+        script = (
+            "import sys\n"
+            "from spreadmi.cli import main\n"
+            f"grid = ['--sigma2-grid', '0.5', '--out', {out!r}]\n"
+            "assert main(['mi-sweep', '--beta', '1.5', *grid]) == 0\n"
+            "assert main(['simulate', '--K', '3', '--L', '2', '--n-samples',"
+            " '1000', '--seed', '0', *grid]) == 0\n"
+            "assert main(['verify-optimality', '--beta', '1.5', '--candidates',"
+            " '2', '--seed', '0', *grid]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.split('.')[:2] == ['numpy', 'ma']))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip().splitlines()[-1] == "[]"

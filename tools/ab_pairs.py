@@ -6,10 +6,13 @@ Each pair runs ``perfbench/run.py --workload W --seed S --seconds 60
 uses; the side that runs first alternates from pair to pair.  Usage:
 
     python tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        --metric M --pairs N [--first-seed S]
+        --metric M --pairs N [--first-seed S] [--record PATH]
 
 It prints every pair, each side's median and quartiles of the four
-end-to-end metrics, and then the verdicts.  The claim on ``M`` is met
+end-to-end metrics, and then the verdicts.  With ``--record PATH`` it also
+appends them to the workload's list of records in the JSON file ``PATH``,
+with the environment line of every run and the host's load averages before
+and after each pair (see ``build_record``).  The claim on ``M`` is met
 when the change wins at least nine tenths of the pairs, ties counting
 for neither side, its median is better than the parent's by more than
 the parent's interquartile range, and no more operations fail than at
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -28,7 +32,9 @@ import sys
 from typing import NamedTuple
 
 METRICS = ("total_s", "setup_s", "work_per_s", "peak_rss_mb")
+SIDES = ("parent", "change")
 SECONDS = 60
+ENVIRONMENT = "# environment "
 
 
 def quartiles(values):
@@ -90,16 +96,56 @@ def bound_verdict(parent, change, better: str, bound: float) -> str:
     return "within"
 
 
+def parse_run(stdout: str) -> dict:
+    """A run's end-to-end metrics, attempts, failures and environment from
+    the report that ``perfbench/run.py`` prints."""
+    lines = stdout.strip().splitlines()
+    res = json.loads(lines[-1])
+    env = next(json.loads(line[len(ENVIRONMENT):]) for line in lines
+               if line.startswith(ENVIRONMENT))
+    return {"metrics": {name: m["value"] for name, m in res["metrics"].items()},
+            "attempted": res["attempted"], "failed": res["failed"],
+            "environment": env}
+
+
 def run_side(tree: pathlib.Path, workload: str, seed: int) -> dict:
-    """One benchmark run in ``tree``: its metrics, attempts and failures."""
+    """One benchmark run in ``tree``, as ``parse_run`` reads it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           check=True)
-    res = json.loads(proc.stdout.strip().splitlines()[-1])
-    values = {name: m["value"] for name, m in res["metrics"].items()}
-    return {"metrics": values, "attempted": res["attempted"],
-            "failed": res["failed"]}
+    return parse_run(proc.stdout)
+
+
+def build_record(workload: str, metric: str, pairs, rules) -> dict:
+    """The record of one workload's pairs: the pairs as given, each side's
+    failures, attempts and the median and quartiles of every end-to-end
+    metric, the claim verdict on ``metric`` and every bound's verdict.
+
+    Each pair holds its ``seed``, the side that ran ``first``, the
+    ``os.getloadavg()`` triples ``load_before`` and ``load_after``, and a
+    ``parse_run`` result per side; ``rules`` maps every metric to its
+    ``BENCHMARK.json`` entry.
+    """
+    series = {side: {name: [p[side]["metrics"][name] for p in pairs]
+                     for name in METRICS} for side in SIDES}
+    summary = {}
+    for side in SIDES:
+        summary[side] = {"failed": sum(p[side]["failed"] for p in pairs),
+                         "attempted": sum(p[side]["attempted"] for p in pairs)}
+        for name, values in series[side].items():
+            lo, hi = quartiles(values)
+            summary[side][name] = {"median": statistics.median(values),
+                                   "q1": lo, "q3": hi}
+    claim = claim_verdict(series["parent"][metric], series["change"][metric],
+                          rules[metric]["better"], summary["parent"]["failed"],
+                          summary["change"]["failed"])
+    bounds = {name: bound_verdict(series["parent"][name],
+                                  series["change"][name],
+                                  rules[name]["better"], rules[name]["bound"])
+              for name in METRICS}
+    return {"workload": workload, "pairs": list(pairs), "summary": summary,
+            "claim": {"metric": metric, **claim._asdict()}, "bounds": bounds}
 
 
 def main(argv=None) -> int:
@@ -111,51 +157,51 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1000,
                         help="seed of the first pair; pair i uses this + i")
+    parser.add_argument("--record", type=pathlib.Path,
+                        help="JSON file to append this workload's record to")
     args = parser.parse_args(argv)
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     rules = {m["name"]: m for m in bench["end_to_end"]}
-    runs = {"parent": [], "change": []}
+    pairs = []
     for i in range(args.pairs):
         seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run_side(getattr(args, side), args.workload, seed)
-               for side in order}
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0],
+                "load_before": list(os.getloadavg())}
         for side in order:
-            runs[side].append(got[side])
+            pair[side] = run_side(getattr(args, side), args.workload, seed)
+        pair["load_after"] = list(os.getloadavg())
+        pairs.append(pair)
         cells = "  ".join(
-            f"{name} {got['parent']['metrics'][name]:.6g} -> "
-            f"{got['change']['metrics'][name]:.6g}" for name in METRICS)
+            f"{name} {pair['parent']['metrics'][name]:.6g} -> "
+            f"{pair['change']['metrics'][name]:.6g}" for name in METRICS)
         print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}  "
-              f"failed {got['parent']['failed']} -> {got['change']['failed']}",
-              flush=True)
+              f"failed {pair['parent']['failed']} -> "
+              f"{pair['change']['failed']}", flush=True)
 
-    series = {side: {name: [r["metrics"][name] for r in rs] for name in METRICS}
-              for side, rs in runs.items()}
-    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    attempted = {side: sum(r["attempted"] for r in rs)
-                 for side, rs in runs.items()}
-    for side in ("parent", "change"):
-        print(f"{side}: failed {failed[side]} of {attempted[side]}")
+    rec = build_record(args.workload, args.metric, pairs, rules)
+    for side in SIDES:
+        summary = rec["summary"][side]
+        print(f"{side}: failed {summary['failed']} of {summary['attempted']}")
         for name in METRICS:
-            lo, hi = quartiles(series[side][name])
-            print(f"  {name} median {statistics.median(series[side][name]):.6g}"
-                  f" (quartiles {lo:.6g} .. {hi:.6g}, {args.pairs} runs)")
-
-    claim = claim_verdict(series["parent"][args.metric],
-                          series["change"][args.metric],
-                          rules[args.metric]["better"], failed["parent"],
-                          failed["change"])
-    print(f"claim {args.workload} {args.metric}: {claim.wins}/{claim.pairs} "
-          f"wins, {claim.losses} losses, median gap {claim.median_gap:.6g} "
-          f"against parent IQR {claim.parent_iqr:.6g}: "
-          f"{'met' if claim.met else 'not met'}")
+            print(f"  {name} median {summary[name]['median']:.6g} (quartiles "
+                  f"{summary[name]['q1']:.6g} .. {summary[name]['q3']:.6g}, "
+                  f"{args.pairs} runs)")
+    claim = rec["claim"]
+    print(f"claim {args.workload} {args.metric}: {claim['wins']}/"
+          f"{claim['pairs']} wins, {claim['losses']} losses, median gap "
+          f"{claim['median_gap']:.6g} against parent IQR "
+          f"{claim['parent_iqr']:.6g}: {'met' if claim['met'] else 'not met'}")
     for name in METRICS:
         rule = rules[name]
-        verdict = bound_verdict(series["parent"][name], series["change"][name],
-                                rule["better"], rule["bound"])
         print(f"bound {args.workload} {name} ({rule['better']} is better, "
-              f"bound {rule['bound']:.0%}): {verdict}")
+              f"bound {rule['bound']:.0%}): {rec['bounds'][name]}")
+    if args.record:
+        records = (json.loads(args.record.read_text())
+                   if args.record.exists() else {})
+        records.setdefault(args.workload, []).append(rec)
+        args.record.write_text(json.dumps(records, indent=1) + "\n")
     return 0
 
 
