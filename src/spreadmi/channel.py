@@ -16,10 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-GAUSSIAN = "gaussian"
-BINARY = "binary"
-DISCRETE = "discrete"
-
 PRIOR_TOL = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -44,20 +40,15 @@ def _alphabet_arrays(alphabet) -> tuple[np.ndarray, np.ndarray]:
 class InputPrior:
     """Scalar input law: zero mean, unit variance.
 
-    ``alphabet`` is a tuple of ``(value, probability)`` pairs for the
-    discrete kinds and ``None`` for ``GAUSSIAN``.
+    ``alphabet`` is a tuple of ``(value, probability)`` pairs for a
+    discrete law; ``None``, the default, is the standard Gaussian law.
     """
 
-    kind: str
     alphabet: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind == GAUSSIAN:
-            if self.alphabet is not None:
-                raise ValueError("gaussian prior carries no alphabet")
+        if self.alphabet is None:
             return
-        if self.kind not in (BINARY, DISCRETE):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
         if not self.alphabet:
             raise ValueError("discrete prior needs a non-empty alphabet")
         vals, probs = _alphabet_arrays(self.alphabet)
@@ -84,20 +75,20 @@ class InputPrior:
         return self._values[order], self._probs[order]
 
     def entropy(self) -> float:
-        """Shannon entropy in nats (discrete kinds only)."""
-        if self.kind == GAUSSIAN:
+        """Shannon entropy in nats (discrete priors only)."""
+        if self.alphabet is None:
             raise ValueError("entropy() is defined for discrete priors only")
         p = self._probs
         return float(-(p @ np.log(p)))
 
 
 def gaussian_prior() -> InputPrior:
-    return InputPrior(GAUSSIAN)
+    return InputPrior()
 
 
 def binary_prior() -> InputPrior:
     """Equiprobable antipodal inputs ``x in {-1, +1}``."""
-    return InputPrior(BINARY, ((-1.0, 0.5), (1.0, 0.5)))
+    return InputPrior(((-1.0, 0.5), (1.0, 0.5)))
 
 
 def normalized_discrete_prior(alphabet) -> InputPrior:
@@ -113,7 +104,7 @@ def normalized_discrete_prior(alphabet) -> InputPrior:
     if std == 0.0:
         raise ValueError("single-point alphabet cannot be normalized to unit variance")
     vals = centred / std
-    return InputPrior(DISCRETE, tuple(zip(vals.tolist(), probs.tolist())))
+    return InputPrior(tuple(zip(vals.tolist(), probs.tolist())))
 
 
 def _check_snr(snr: float) -> float:
@@ -145,7 +136,7 @@ def output_density(prior: InputPrior, snr: float, u):
     """Density ``p(u; snr)`` of the channel output, vectorized in ``u``."""
     snr = _check_snr(snr)
     u = np.asarray(u, dtype=float)
-    if prior.kind == GAUSSIAN:
+    if prior.alphabet is None:
         var = 1.0 + 1.0 / snr
         out = np.exp(-u * u / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     else:
@@ -159,7 +150,7 @@ def posterior_mean(prior: InputPrior, snr: float, u):
     """Conditional mean of the input given the output ``u``."""
     snr = _check_snr(snr)
     u = np.asarray(u, dtype=float)
-    if prior.kind == GAUSSIAN:
+    if prior.alphabet is None:
         out = u * snr / (1.0 + snr)
     else:
         values, probs = prior._sorted
@@ -224,7 +215,7 @@ def mmse(prior: InputPrior, snr: float) -> float:
     if snr == 0.0:
         return 1.0
     snr = _check_snr(snr)
-    if prior.kind == GAUSSIAN:
+    if prior.alphabet is None:
         return 1.0 / (1.0 + snr)
     # the error is the mean posterior variance; its terms are non-negative,
     # so it stays accurate where it is tiny (the equal 1 - E[<x>^2] cancels
@@ -244,7 +235,7 @@ def output_entropy(prior: InputPrior, snr: float) -> float:
     ``0.5 log(2 pi e / snr)``.
     """
     snr = _check_snr(snr)
-    if prior.kind == GAUSSIAN:
+    if prior.alphabet is None:
         return 0.5 * math.log(2.0 * math.pi * math.e * (1.0 + 1.0 / snr))
     # -int p log p in v; the kernel sum is at least the smallest prior
     # probability, so log p is finite at every node
@@ -256,6 +247,6 @@ def output_entropy(prior: InputPrior, snr: float) -> float:
 def scalar_mutual_information(prior: InputPrior, snr: float) -> float:
     """Input-output mutual information of the scalar channel, in nats."""
     snr = _check_snr(snr)
-    if prior.kind == GAUSSIAN:
+    if prior.alphabet is None:
         return 0.5 * math.log1p(snr)
     return output_entropy(prior, snr) - 0.5 * math.log(2.0 * math.pi * math.e / snr)

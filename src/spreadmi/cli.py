@@ -111,6 +111,8 @@ def cmd_verify_optimality(cfg) -> int:
     beta = cfg.get("beta", 1.5)
     sigma2 = [float(s2) for s2 in parse_grid(cfg.get("sigma2_grid", "0.25:1:2"))]
     n_candidates = cfg.get("candidates", 100)
+    if n_candidates < 0:
+        raise ConfigError(f"--candidates must be at least 0, got {n_candidates}")
     n_atoms = cfg.get("n_atoms", 3)
     seed = cfg.get("seed", 0)
     scale = UNIT_SCALE[cfg.get("units", "nats")]

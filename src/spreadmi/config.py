@@ -23,33 +23,32 @@ class ConfigError(ValueError):
     """A configuration file or flag value could not be interpreted."""
 
 
-def parse_kv_text(text: str) -> dict:
-    """Parse a ``key = value`` document into a dict of JSON-typed values."""
+def load_kv_file(path) -> dict:
+    """Parse the ``key = value`` document at ``path`` into a dict of
+    JSON-typed values; a bad line raises ``ConfigError`` naming the file."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value', "
+                              f"got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+            raise ConfigError(f"{path}: line {lineno}: empty key")
         try:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
             out[key] = value
     return out
-
-
-def load_kv_file(path) -> dict:
-    try:
-        with open(path) as fh:
-            return parse_kv_text(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
 
 
 def parse_prior(text: str) -> InputPrior:
@@ -138,7 +137,7 @@ def parse_grid(text: str) -> np.ndarray:
         except ValueError as exc:
             raise ConfigError(f"bad grid {text!r}: {exc}") from exc
         if n < 1:
-            raise ConfigError(f"grid needs at least one point, got n={n}")
+            raise ConfigError(f"grid {text!r} needs at least one point")
         if n > 1 and lo == hi:
             raise ConfigError(f"grid {text!r} is not strictly monotone")
         return np.linspace(lo, hi, n)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BINARY, DISCRETE, InputPrior
+from .channel import InputPrior
 from .errors import EnumerationLimitError
 from .spectra import EigenDistribution
 
@@ -165,15 +165,12 @@ def gen_wbe_spreading(seed: int, K: int, L: int) -> SpreadingMatrix:
 # ---------------------------------------------------------------------------
 
 
-def empirical_spectrum(S: SpreadingMatrix,
-                       reference: EigenDistribution | None = None):
-    """Eigenvalues of the Gram matrix ``S^T S`` (ascending) and, when a
-    reference law is given, the Kolmogorov-Smirnov distance between the
-    empirical distribution and the reference distribution function."""
+def empirical_spectrum(S: SpreadingMatrix, reference: EigenDistribution):
+    """Eigenvalues of the Gram matrix ``S^T S`` (ascending) and the
+    Kolmogorov-Smirnov distance between their empirical distribution and
+    the reference law's distribution function."""
     gram = S.entries.T @ S.entries
     eigs = np.sort(np.linalg.eigvalsh(gram))
-    if reference is None:
-        return eigs, None
     return eigs, ks_distance(eigs, reference)
 
 
@@ -364,7 +361,7 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     temporaries of one column block, at most ``3 * 2**17`` doubles, which
     are released before the next block is scored.
     """
-    if prior.kind not in (BINARY, DISCRETE):
+    if prior.alphabet is None:
         raise ValueError("exact enumeration needs a discrete input prior")
     levels = np.asarray(noise_var, dtype=float)
     for level in levels.flat:
@@ -399,49 +396,10 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
 
 
 def write_matrix(path, S: SpreadingMatrix) -> None:
-    """Dump a matrix as a one-line header (K, L, kind, seed) followed by
-    row-major values, full precision."""
+    """Dump a matrix as a one-line ``#`` header (K, L, kind, seed) followed
+    by row-major values, full precision; ``np.loadtxt`` reads them back."""
     with open(path, "w") as fh:
         seed = "none" if S.seed is None else str(S.seed)
         fh.write(f"# K={S.K} L={S.L} kind={S.kind} seed={seed}\n")
         for row in S.entries:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_matrix(path) -> SpreadingMatrix:
-    """Inverse of :func:`write_matrix`.  A malformed file raises
-    ``ValueError`` naming the file and the bad header item or body."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        body = [line.split() for line in fh if line.strip()]
-    if not header.startswith("# "):
-        raise ValueError(f"{path}: malformed matrix header {header!r}")
-    fields = {}
-    for item in header[2:].split():
-        key, eq, value = item.partition("=")
-        if not eq:
-            raise ValueError(f"{path}: matrix header item {item!r} is not key=value")
-        fields[key] = value
-    for key in ("K", "L", "kind"):
-        if key not in fields:
-            raise ValueError(f"{path}: matrix header {header!r} has no {key} field")
-
-    def integer(key: str) -> int:
-        try:
-            return int(fields[key])
-        except ValueError:
-            raise ValueError(f"{path}: matrix header item {key}={fields[key]} "
-                             "is not an integer") from None
-
-    shape = (integer("L"), integer("K"))
-    seed = None if fields.get("seed", "none") == "none" else integer("seed")
-    if not body:
-        raise ValueError(f"{path}: matrix header {header!r} has no body")
-    try:
-        entries = np.array([[float(v) for v in row] for row in body])
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable matrix body: {exc}") from None
-    if entries.shape != shape:
-        raise ValueError(f"{path}: matrix body {entries.shape} does not match "
-                         f"header (L={shape[0]}, K={shape[1]})")
-    return SpreadingMatrix(entries=entries, kind=fields["kind"], seed=seed)

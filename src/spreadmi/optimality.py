@@ -31,8 +31,8 @@ def wbe_reference(beta: float) -> EigenDistribution:
 @lru_cache(maxsize=4096)
 def mi_solution(spec: SystemSpec) -> SaddleSolution:
     """Memoized solve; specs hash by their noise level and the identities
-    of their prior and law, so repeated checks against the shared WBE
-    reference pay for one solve only."""
+    of their prior and law, so a candidate solved for its R-dominance
+    report is not solved again for its mutual-information row."""
     return mutual_information(spec)
 
 

@@ -140,14 +140,14 @@ class TestPriorConstruction:
 
     def test_discrete_must_be_standardized(self):
         with pytest.raises(ValueError, match="mean 0 and variance 1"):
-            InputPrior("discrete", ((-1.0, 0.25), (1.0, 0.75)))
+            InputPrior(((-1.0, 0.25), (1.0, 0.75)))
         with pytest.raises(ValueError, match="sum"):
-            InputPrior("discrete", ((-1.0, 0.5), (1.0, 0.4)))
+            InputPrior(((-1.0, 0.5), (1.0, 0.4)))
         with pytest.raises(ValueError, match="positive"):
-            InputPrior("discrete", ((-1.0, 1.5), (1.0, -0.5)))
+            InputPrior(((-1.0, 1.5), (1.0, -0.5)))
         # NaN fails every comparison, so only a finiteness check stops it
         with pytest.raises(ValueError, match="finite"):
-            InputPrior("discrete", ((-1.0, math.nan), (1.0, 0.5)))
+            InputPrior(((-1.0, math.nan), (1.0, 0.5)))
 
     def test_normalization_on_load(self):
         p = normalized_discrete_prior([(0.0, 0.5), (10.0, 0.5)])
@@ -214,12 +214,6 @@ class TestPosteriorMean:
         u = np.linspace(-50.0, 50.0, 201)
         m = posterior_mean(prior, 5.0, u)
         assert np.all(np.abs(m) <= hi + 1e-12)
-
-    def test_binary_fast_path_matches_generic(self):
-        generic = InputPrior("discrete", ((-1.0, 0.5), (1.0, 0.5)))
-        u = np.linspace(-4.0, 4.0, 31)
-        np.testing.assert_allclose(posterior_mean(binary_prior(), 1.7, u),
-                                   posterior_mean(generic, 1.7, u), atol=1e-12)
 
 
 class TestMixtureRule:

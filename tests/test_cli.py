@@ -8,10 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from spreadmi import SpreadingMatrix
 from spreadmi.cli import main
 
 LN2 = math.log(2.0)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+WBE = ["mi-sweep", "--spectrum", "wbe", "--beta", "1.5"]
+WBE_SWEEP = [*WBE, "--sigma2-grid", "0.5"]
+FILE_SWEEP = ["mi-sweep", "--spectrum", "{tmp}/s.spec", "--sigma2-grid", "0.5"]
 
 
 def rows_of(path):
@@ -99,6 +103,18 @@ class TestMiSweep:
         nats_value = 0.45075083582577746
         assert float(rows[0]["C"]) == pytest.approx(nats_value / LN2, rel=1e-8,
                                                     abs=0.0)
+
+    def test_config_bare_words_are_strings(self, tmp_path):
+        """Unquoted values that are not JSON, such as ``prior = gaussian``,
+        read as strings."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("prior = gaussian\nspectrum = wbe\nbeta = 1.5\n"
+                       "sigma2_grid = 0.1:1:3\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["mi-sweep", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main([*WBE, "--prior", "gaussian", "--sigma2-grid", "0.1:1:3",
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_missing_grid_is_config_error(self, tmp_path):
         code = main(["mi-sweep", "--prior", "binary", "--spectrum", "wbe",
@@ -343,9 +359,10 @@ class TestSimulate:
                      "--n-samples", "1000", "--seed", "2", "--out", str(out),
                      "--dump-matrix-dir", str(tmp_path)])
         assert code == 0
-        from spreadmi import read_matrix
-        mat = read_matrix(tmp_path / "matrix_wbe_K3_L2.txt")
-        assert mat.K == 3 and mat.L == 2 and mat.seed == 2
+        path = tmp_path / "matrix_wbe_K3_L2.txt"
+        assert path.read_text().startswith("# K=3 L=2 kind=wbe seed=2\n")
+        mat = SpreadingMatrix(np.loadtxt(path, ndmin=2), "wbe")
+        assert mat.K == 3 and mat.L == 2
 
 
 class TestTransform:
@@ -504,6 +521,64 @@ class TestExitCodes:
                      "--sigma2-grid", "0.5", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "nan" in capsys.readouterr().err
+
+    # each case: the command line, the files to write in the test's
+    # directory ("{tmp}" in an argument or in the expected text), and the
+    # text of the error that names the bad input
+    @pytest.mark.parametrize("argv, files, named", [
+        *(pytest.param([*WBE, "--sigma2-grid", grid], {}, repr(grid), id=case)
+          for case, grid in [("grid-two-parts", "1:2"), ("grid-flat", "1:1:3"),
+                             ("grid-word", "abc"), ("grid-no-point", "1:2:0"),
+                             ("grid-non-number", "1:x:3")]),
+        pytest.param(["mi-sweep", "--spectrum", "wbe", "--sigma2-grid", "0.5"],
+                     {}, "'wbe' needs --beta", id="wbe-without-beta"),
+        pytest.param(["mi-sweep", "--spectrum", "discrete:[[1.5, 1]", "--beta",
+                      "1.5", "--sigma2-grid", "0.5"], {},
+                     "'discrete:[[1.5, 1]'", id="spectrum-bad-json"),
+        pytest.param([*WBE_SWEEP, "--prior", "discrete:[[-1, 0.5]"], {},
+                     "'discrete:[[-1, 0.5]'", id="prior-bad-json"),
+        pytest.param(["mi-sweep", "--spectrum", "xyz", "--beta", "1.5",
+                      "--sigma2-grid", "0.5"], {}, "'xyz'",
+                     id="unknown-spectrum"),
+        pytest.param([*WBE_SWEEP, "--prior", "ternary"], {}, "'ternary'",
+                     id="unknown-prior"),
+        pytest.param(FILE_SWEEP, {"s.spec": "beta = 1.5\n"},
+                     "{tmp}/s.spec: field 'kind'",
+                     id="spectrum-file-without-kind"),
+        pytest.param(FILE_SWEEP, {"s.spec": 'kind = "wbe"\n'},
+                     "{tmp}/s.spec: numeric field 'beta'",
+                     id="spectrum-file-without-beta"),
+        pytest.param(FILE_SWEEP, {"s.spec": 'kind = "discrete"\nbeta = 1.5\n'},
+                     "{tmp}/s.spec: discrete spectrum needs 'pi_atoms",
+                     id="spectrum-file-without-atoms"),
+        pytest.param(FILE_SWEEP, {"s.spec": 'kind = "wbe"\nbeta\n'},
+                     "{tmp}/s.spec: line 2: expected 'key = value'",
+                     id="spectrum-file-line-without-equals"),
+        pytest.param([*WBE_SWEEP, "--config", "{tmp}/c.cfg"],
+                     {"c.cfg": "sigma2_grid\n"},
+                     "{tmp}/c.cfg: line 1: expected 'key = value'",
+                     id="config-line-without-equals"),
+        pytest.param([*WBE_SWEEP, "--config", "{tmp}/c.cfg"],
+                     {"c.cfg": "# sweep\n= 0.5\n"},
+                     "{tmp}/c.cfg: line 2: empty key", id="config-empty-key"),
+        pytest.param([*WBE_SWEEP, "--config", "{tmp}/c.cfg"], {},
+                     "cannot read config file '{tmp}/c.cfg'",
+                     id="config-file-missing"),
+        pytest.param(["verify-optimality", "--candidates", "-3",
+                      "--sigma2-grid", "0.5"], {}, "--candidates",
+                     id="negative-candidates"),
+    ])
+    def test_bad_input_is_config_error_naming_it(self, tmp_path, capsys, argv,
+                                                 files, named):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = main([*(a.format(tmp=tmp_path) for a in argv),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named.format(tmp=tmp_path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         code = main(["mi-sweep", "--spectrum", "wbe", "--beta", "1.5",

@@ -15,8 +15,7 @@ from spreadmi import (EnumerationLimitError, SpreadingMatrix, binary_prior,
                       gaussian_exact_mi, gaussian_prior, gen_iid_spreading,
                       gen_wbe_spreading, ks_distance, make_mp_law, make_wbe_law,
                       mutual_information, normalized_discrete_prior,
-                      read_matrix, scalar_mutual_information, write_matrix,
-                      SystemSpec)
+                      scalar_mutual_information, write_matrix, SystemSpec)
 
 
 def unit_matrix():
@@ -379,12 +378,13 @@ class TestExactMutualInformation:
 
 class TestMatrixDump:
     def test_round_trip_bit_exact(self, tmp_path):
+        """The header is a ``#`` comment, so numpy reads the body back bit
+        for bit and ``SpreadingMatrix`` re-validates it."""
         s = gen_wbe_spreading(5, 12, 8)
         path = tmp_path / "matrix.txt"
         write_matrix(path, s)
-        back = read_matrix(path)
+        back = SpreadingMatrix(np.loadtxt(path, ndmin=2), "wbe")
         assert np.array_equal(back.entries, s.entries)
-        assert back.kind == "wbe" and back.seed == 5
 
     def test_header_format(self, tmp_path):
         s = gen_iid_spreading(3, 4, 2)
@@ -392,31 +392,3 @@ class TestMatrixDump:
         write_matrix(path, s)
         header = path.read_text().splitlines()[0]
         assert header == "# K=4 L=2 kind=iid seed=3"
-
-    @pytest.mark.parametrize("field", ["K", "L", "kind"])
-    def test_header_without_field_raises_value_error(self, tmp_path, field):
-        path = tmp_path / "matrix.txt"
-        write_matrix(path, gen_iid_spreading(3, 4, 2))
-        lines = path.read_text().splitlines()
-        lines[0] = " ".join(item for item in lines[0].split()
-                            if not item.startswith(field + "="))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"no {field} field"):
-            read_matrix(path)
-
-    @pytest.mark.parametrize("header, body, message", [
-        ("# K=2 L=1 kind=iid seed", "0.6 0.8", "item 'seed' is not key=value"),
-        ("# K=x L=1 kind=iid seed=0", "0.6 0.8", "item K=x is not an integer"),
-        ("# K=2 L=1 kind=iid seed=none", "", "has no body"),
-        ("# K=2 L=1 kind=iid seed=none", "0.6 x", "unreadable matrix body"),
-        ("# K=2 L=2 kind=iid seed=none", "0.6 0.8\n0.8", "unreadable matrix body"),
-        ("# K=2 L=2 kind=iid seed=none", "0.6 0.8", r"body \(1, 2\) does not"),
-    ], ids=["item-without-value", "non-integer", "no-body", "non-number",
-            "ragged", "wrong-shape"])
-    def test_malformed_file_error_names_path_and_item(self, tmp_path, header,
-                                                      body, message):
-        path = tmp_path / "matrix.txt"
-        path.write_text(f"{header}\n{body}\n")
-        with pytest.raises(ValueError, match=message) as info:
-            read_matrix(path)
-        assert str(info.value).startswith(f"{path}: ")
