@@ -20,8 +20,25 @@ PRIOR_TOL = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # 32-node Gauss-Legendre base rule for the composite panels of the
-# posterior-moment integrals
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+# posterior-moment integrals: numpy's leggauss(32), which is exactly
+# symmetric, stored as its non-negative half and mirrored, so that no
+# process imports numpy.polynomial or solves for the nodes
+_GL_HALF_X = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+    0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+    0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+    0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+    0.9972638618494816])
+_GL_HALF_W = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+    0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+    0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+    0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+    0.007018610009470506])
+_GL_X = np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
+_GL_W = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
 
 
 def _alphabet_arrays(alphabet) -> tuple[np.ndarray, np.ndarray]:

@@ -70,6 +70,14 @@ def _solved(point, solve, spec):
         raise NumericsError(f"solver failed at {point}: {exc}") from exc
 
 
+def _seed(cfg) -> int:
+    """The master seed, which numpy's generators need non-negative."""
+    seed = cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
+    return seed
+
+
 def _report_rows(prefix, report):
     """One row per grid point of a dominance report, behind ``prefix``."""
     return [[*prefix, *values] for values in zip(
@@ -114,7 +122,7 @@ def cmd_verify_optimality(cfg) -> int:
     if n_candidates < 0:
         raise ConfigError(f"--candidates must be at least 0, got {n_candidates}")
     n_atoms = cfg.get("n_atoms", 3)
-    seed = cfg.get("seed", 0)
+    seed = _seed(cfg)
     scale = UNIT_SCALE[cfg.get("units", "nats")]
     out = cfg.get("out", "optimality")
     candidates = [(f"sampled-{seed + i}",
@@ -165,7 +173,7 @@ def cmd_simulate(cfg) -> int:
     prior = parse_prior(cfg.get("prior", "binary"))
     sigma2 = parse_grid(cfg.get("sigma2_grid", "0.5"))
     n_samples = cfg.get("n_samples", 10_000)
-    seed = cfg.get("seed", 0)
+    seed = _seed(cfg)
     scale = UNIT_SCALE[cfg.get("units", "nats")]
     out = cfg.get("out", "simulate.csv")
     kinds = cfg.get("kind", [IID, WBE])

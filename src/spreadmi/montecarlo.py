@@ -28,8 +28,14 @@ GRAM_TOL = 1e-9
 ENUMERATION_LIMIT = 2 ** 20
 _CHUNK = 256
 # doubles per half of a block's codebook scores (1 MiB); a block's scores
-# and its kernel product hold at most three times this
+# and its kernel product hold at most three times this.  It binds once a
+# half has more than 2^10 codewords; below that, _COLUMNS does
 _BLOCK = 2 ** 17
+# most outputs per block, half a chunk: at K = 12 the bundled OpenBLAS runs
+# the 64 x 64 by 64 x 128 kernel product on the calling thread (256 columns
+# go to a second thread), and each temporary of a block, at most 128 KiB,
+# is reused from the heap instead of being mapped anew
+_COLUMNS = 128
 # doubles of kernels and per-sample values the levels of one pass hold
 # together (8 MiB); a level that does not fit alone gets a pass of its own
 _PASS_DOUBLES = 2 ** 20
@@ -271,8 +277,8 @@ def _split_sum(S: SpreadingMatrix, values: np.ndarray,
     kernel = np.exp(cross, out=cross)                # (M^K_A, M^K_B)
     scores = np.hstack([np.vstack([img_a, img_b]) / noise_var,
                         np.concatenate([bias_a, bias_b])[:, None]])
-    # a fixed budget of _BLOCK doubles per half, and never more than a chunk
-    rows = min(_CHUNK, max(1, _BLOCK // max(bias_a.size, bias_b.size)))
+    # a fixed budget of _BLOCK doubles per half, and never more than _COLUMNS
+    rows = min(_COLUMNS, max(1, _BLOCK // max(bias_a.size, bias_b.size)))
     return _Split(scores, bias_a.size, kernel, rows)
 
 
@@ -355,9 +361,10 @@ def exact_mutual_information(S: SpreadingMatrix, prior: InputPrior,
     The sum over input vectors ``c = (a, b)`` is split between the first
     ``K_A`` users and the rest, as ``exp(u(y)) @ exp(M) @ exp(v(y))`` with
     the cross term ``M`` fixed per level; ``K_A = 0`` is the unsplit sum.
-    Outputs are scored in column blocks, one column per sample: one
-    product gives both halves' scores, biases included.  Memory per level
-    of a pass is ``O((M^K_A + M^K_B) L + M^K + n_samples)``, plus the
+    Outputs are scored in column blocks, one column per sample, of at
+    most ``min(128, 2**17 / max(M^K_A, M^K_B))`` samples: one product
+    gives both halves' scores, biases included.  Memory per level of a
+    pass is ``O((M^K_A + M^K_B) L + M^K + n_samples)``, plus the
     temporaries of one column block, at most ``3 * 2**17`` doubles, which
     are released before the next block is scored.
     """

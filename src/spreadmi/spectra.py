@@ -33,9 +33,37 @@ GENERIC = "generic"
 MASS_TOL = 1e-10
 MEAN_TOL = 1e-10
 
-# continuous densities are tabulated on panels x order Gauss-Legendre nodes
+# continuous densities are tabulated on _PANELS panels of 64 Gauss-Legendre
+# nodes: numpy's leggauss(64), which is exactly symmetric, stored as its
+# non-negative half and mirrored, so that no process imports
+# numpy.polynomial or solves for the nodes
 _PANELS = 32
-_ORDER = 64
+_GL_HALF_X = np.array([
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054,
+    0.16964442042399283, 0.21742364374000708, 0.2646871622087674,
+    0.31132287199021097, 0.3572201583376681, 0.4022701579639916,
+    0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542333, 0.7198818501716109, 0.7528199072605319,
+    0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+    0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+    0.973326827789911, 0.983336253884626, 0.9910133714767443,
+    0.9963401167719552, 0.9993050417357722])
+_GL_HALF_W = np.array([
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+    0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+    0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+    0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009,
+    0.0354722132568823, 0.033805161837141794, 0.032057928354851495,
+    0.030234657072402554, 0.028339672614259535, 0.02637746971505491,
+    0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786,
+    0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
+    0.004147033260564499, 0.00178328072169414])
+_GL_X = np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
+_GL_W = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
 
 # safeguarded Newton for the Hilbert inversion: relative step at which an
 # iterate counts as converged, and a cap that only non-finite input reaches
@@ -74,12 +102,11 @@ def _mp_density(beta: float) -> TabulatedDensity:
     # (b-a) sin(u) cos(u), so the transformed integrand is smooth and the
     # composite Gauss-Legendre rule converges spectrally.
     a, b = _mp_edges(beta)
-    x, w = np.polynomial.legendre.leggauss(_ORDER)
     edges = np.linspace(0.0, math.pi / 2.0, _PANELS + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wu = (half[:, None] * w[None, :]).ravel()
+    u = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    wu = (half[:, None] * _GL_W[None, :]).ravel()
     lam = a + (b - a) * np.sin(u) ** 2
     weights = wu * (b - a) ** 2 * np.sin(2.0 * u) ** 2 / (4.0 * math.pi * beta * lam)
     return TabulatedDensity(lo=a, hi=b, nodes=lam, weights=weights)

@@ -397,3 +397,11 @@ class TestInformationIdentities:
         hi = scalar_mutual_information(prior, snr)
         assert 0.0 < lo < hi <= prior.entropy() + 1e-12
         assert hi == pytest.approx(prior.entropy(), **tol)
+
+
+def test_stored_rule_is_numpys_leggauss():
+    """The stored 32-node rule, mirrored from its non-negative half, is
+    numpy's ``leggauss(32)`` bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    assert channel._GL_X.tobytes() == x.tobytes()
+    assert channel._GL_W.tobytes() == w.tobytes()

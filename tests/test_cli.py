@@ -567,6 +567,14 @@ class TestExitCodes:
         pytest.param(["verify-optimality", "--candidates", "-3",
                       "--sigma2-grid", "0.5"], {}, "--candidates",
                      id="negative-candidates"),
+        pytest.param(["verify-optimality", "--candidates", "1", "--seed", "-1",
+                      "--sigma2-grid", "0.5"], {},
+                     "--seed must be at least 0, got -1",
+                     id="verify-negative-seed"),
+        pytest.param(["simulate", "--K", "4", "--L", "2", "--seed", "-1",
+                      "--n-samples", "1000", "--sigma2-grid", "0.5"], {},
+                     "--seed must be at least 0, got -1",
+                     id="simulate-negative-seed"),
     ])
     def test_bad_input_is_config_error_naming_it(self, tmp_path, capsys, argv,
                                                  files, named):
@@ -643,7 +651,8 @@ class TestEntryPoint:
     def test_import_loads_no_scipy(self, tmp_path):
         """The runtime needs only numpy; scipy is a test oracle, and neither
         a cold start of the CLI nor a small run of the three solving
-        commands pays for importing it or ``numpy.ma``."""
+        commands pays for importing it, ``numpy.ma`` or
+        ``numpy.polynomial`` (the Gauss-Legendre rules are stored)."""
         out = str(tmp_path / "run")
         script = (
             "import sys\n"
@@ -655,7 +664,8 @@ class TestEntryPoint:
             "assert main(['verify-optimality', '--beta', '1.5', '--candidates',"
             " '2', '--seed', '0', *grid]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            " or m.split('.')[:2] == ['numpy', 'ma']))\n")
+            " or m.split('.')[:2] in (['numpy', 'ma'],"
+            " ['numpy', 'polynomial'])))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
+from spreadmi import montecarlo
 from spreadmi import (EnumerationLimitError, SpreadingMatrix, binary_prior,
                       empirical_spectrum, exact_mutual_information,
                       gaussian_exact_mi, gaussian_prior, gen_iid_spreading,
@@ -243,6 +244,33 @@ class TestExactMutualInformation:
             assert isinstance(one.value, float)
             assert (value, std_error) == (one.value, one.std_error)
 
+    @pytest.mark.parametrize("gen, K, L, grid, size_a", [
+        (gen_iid_spreading, 6, 4, 1e-3, 1),
+        (gen_wbe_spreading, 12, 8, [0.25, 1.0], 64),
+        (gen_iid_spreading, 14, 8, 0.5, 128),
+    ], ids=["K6-unsplit", "K12-two-levels", "K14"])
+    def test_block_width_does_not_change_the_estimates(self, monkeypatch,
+                                                        gen, K, L, grid,
+                                                        size_a):
+        """Blocks of at most 7, 128 or 256 outputs give the same estimates
+        bit for bit, with 1,000 samples leaving a partial last chunk of 232.
+        At sigma2 1e-3 the K = 6 cross term spans more than 600 nats, so
+        the sum is unsplit.  One-output blocks are left out: numpy computes
+        a one-column product as a matrix-vector product and sums one column
+        pairwise, which round differently."""
+        s = gen(0, K, L)
+        prior = binary_prior()
+        split = montecarlo._split_sum(s, prior._values, np.log(prior._probs),
+                                      np.max(grid))
+        assert split.size_a == size_a
+        estimates = set()
+        for cap in (7, 128, 256):
+            monkeypatch.setattr(montecarlo, "_COLUMNS", cap)
+            est = exact_mutual_information(s, prior, grid, 1_000, 0)
+            estimates.add((np.asarray(est.value).tobytes(),
+                           np.asarray(est.std_error).tobytes()))
+        assert len(estimates) == 1
+
     @pytest.mark.parametrize("noise_var", [math.inf, math.nan, 0.0,
                                            [0.5, math.inf], [math.nan, 0.5]],
                              ids=["inf", "nan", "zero", "array-inf",
@@ -330,8 +358,9 @@ class TestExactMutualInformation:
 
     def test_memory_bounded_at_benchmark_shape(self):
         """Two levels at K = 12, L = 8 with 10,000 samples, the shape of a
-        benchmarked simulate call, peak below 1.5 MiB traced: inside the
-        5% (about 1.9 MiB) by which that benchmark lets peak memory grow."""
+        benchmarked simulate call, peak below 0.65 MiB traced.  Blocks of
+        128 outputs keep each temporary at 128 KiB and peak near 0.53 MiB;
+        blocks of a whole 256-sample chunk peaked near 0.72 MiB."""
         s = gen_iid_spreading(0, 12, 8)
         tracemalloc.start()
         try:
@@ -339,7 +368,7 @@ class TestExactMutualInformation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2 ** 20
+        assert peak < 0.65 * 2 ** 20
 
     def test_memory_bounded_at_enumeration_limit(self):
         """At 2^20 codewords each half-codebook is built one user at a

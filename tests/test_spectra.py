@@ -12,6 +12,7 @@ from spreadmi import (ConstraintViolation, EigenDistribution, NumericsError,
                       as_generic, g_integral, hilbert, make_discrete_law,
                       make_mp_law, make_wbe_law, r_transform,
                       sample_candidate_spectrum, z_min)
+from spreadmi import spectra
 from spreadmi.spectra import GENERIC, MP, WBE
 
 
@@ -480,3 +481,11 @@ class TestNanInput:
             transform(law, math.nan)
         with pytest.raises(ValueError):
             transform(law, np.array([-1.0, math.nan]))
+
+
+def test_stored_rule_is_numpys_leggauss():
+    """The stored 64-node rule of the tabulated densities, mirrored from
+    its non-negative half, is numpy's ``leggauss(64)`` bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert spectra._GL_X.tobytes() == x.tobytes()
+    assert spectra._GL_W.tobytes() == w.tobytes()
